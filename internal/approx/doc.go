@@ -41,9 +41,10 @@
 // nothing (DESIGN.md §16). WithShares swaps the share vector per call —
 // how the market evaluator serves thousands of vectors from a pool of
 // handles — and WithOrder overrides the chain order. A Solver is
-// single-goroutine; SolveAll can fan its readout levels across
-// Config.Workers goroutines internally, bit-identically to the serial
-// schedule. Summary distributions are adaptively truncated under
-// Config.TruncEps (mass-preserving, default 1e-9, accounted in
-// Config.PruneStats); set TruncEps negative to disable.
+// single-goroutine and starts none of its own: SolveAll solves its readout
+// levels one after another in one readout arena, and callers that want
+// concurrency pool handles (market.ApproxEvaluator). Summary
+// distributions are adaptively truncated under Config.TruncEps
+// (mass-preserving, default 1e-9, accounted in Config.PruneStats); set
+// TruncEps negative to disable.
 package approx

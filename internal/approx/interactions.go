@@ -104,17 +104,17 @@ type interactions struct {
 	strideC, strideD, strideL, dim int
 
 	// Arena scratch, reused across resets.
-	jointPool    [][]float64   // summary-joint buffers handed out by nextJoint
-	jointN       int           // jointPool[:jointN] are in use this build
-	jsSlab       [][]float64   // backing storage for groupJoints' iterate lists
-	iterA, iterB []float64     // full-state transient iterate buffers
-	mixBuf       []float64     // Fox-Glynn mixture accumulator
-	accBuf       []float64     // disaggregation accumulator
-	entrySlab    []allocEntry  // backing storage for cached vectors
-	entryScratch []allocEntry  // buildVector assembly buffer
-	entryBuf     []allocEntry  // alloc/clamp result buffer, valid until next alloc
-	lineBuf      []float64     // shiftAxisDown line scratch
-	scratch      []float64     // dense merge buffer reused by clamp
+	jointPool    [][]float64  // summary-joint buffers handed out by nextJoint
+	jointN       int          // jointPool[:jointN] are in use this build
+	jsSlab       [][]float64  // backing storage for groupJoints' iterate lists
+	iterA, iterB []float64    // full-state transient iterate buffers
+	mixBuf       []float64    // Fox-Glynn mixture accumulator
+	accBuf       []float64    // disaggregation accumulator
+	entrySlab    []allocEntry // backing storage for cached vectors
+	entryScratch []allocEntry // buildVector assembly buffer
+	entryBuf     []allocEntry // alloc/clamp result buffer, valid until next alloc
+	lineBuf      []float64    // shiftAxisDown line scratch
+	scratch      []float64    // dense merge buffer reused by clamp
 	scratchDim   int
 }
 

@@ -3,7 +3,6 @@ package approx
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"scshare/internal/cloud"
 	"scshare/internal/markov"
@@ -41,16 +40,6 @@ type Config struct {
 	// silent (core.Diagnose warns on it; scserve surfaces it in /metrics).
 	// Safe to share across solvers and goroutines; nil disables accounting.
 	PruneStats *PruneCounter
-	// Workers bounds the goroutines SolveAll fans the K-1 independent
-	// readout levels across (0 or 1 = serial). Each worker owns a private
-	// level arena and the merge is by SC index, so the result is
-	// bit-identical to the serial schedule.
-	Workers int
-	// Uncondition disables the pi^X conditioning of the interaction
-	// vectors (the transient analysis then always starts from the previous
-	// level's unconditioned steady state). For the ablation benchmarks
-	// only: it degrades accuracy.
-	Uncondition bool
 	// PoolCap bounds the modeled shared-VM usage per level. 0 sizes it
 	// automatically from the federation's overflow demand (the declared
 	// pool B_i often vastly exceeds what is ever in use); negative values
@@ -93,21 +82,25 @@ type Model struct {
 // the first solve's storage and produces bit-identical metrics.
 //
 // A Solver is NOT safe for concurrent use: one handle serves one goroutine
-// at a time (SolveAll's internal readout workers each own a private arena).
-// Pool handles per worker — market.ApproxEvaluator does exactly that.
+// at a time. Pool handles per worker — market.ApproxEvaluator does exactly
+// that.
 type Solver struct {
 	cfg      Config
 	k        int
 	passes   int
-	workers  int
 	truncEps float64
 	overflow []float64
+	// uncondition disables the pi^X conditioning of the interaction
+	// vectors (the transient analysis then always starts from the previous
+	// level's unconditioned steady state). Only the conditioning ablation
+	// test sets it: it degrades accuracy.
+	uncondition bool
 
 	// Chain arenas: slots[i] carries level position i of the spine /
-	// per-target chain across passes and solves; rslots[w] is readout
-	// worker w's private arena.
-	slots  []*levelSlot
-	rslots []*levelSlot
+	// per-target chain across passes and solves; rslot is the arena every
+	// SolveAll readout level is solved in.
+	slots []*levelSlot
+	rslot *levelSlot
 
 	// Reused per-solve scratch.
 	levels   []*level
@@ -143,19 +136,15 @@ func NewSolver(cfg Config) (*Solver, error) {
 	} else if trunc < 0 {
 		trunc = 0
 	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	k := len(cfg.Federation.SCs)
 	s := &Solver{
 		cfg:      cfg,
 		k:        k,
 		passes:   passes,
-		workers:  workers,
 		truncEps: trunc,
 		overflow: overflow,
 		slots:    make([]*levelSlot, k),
+		rslot:    newLevelSlot(),
 	}
 	for i := range s.slots {
 		s.slots[i] = newLevelSlot()
@@ -264,7 +253,7 @@ func (s *Solver) buildChain(order []int) ([]*level, error) {
 		var prev *level
 		prevIdx := -1
 		for pos, scIdx := range order {
-			lv, err := s.buildLevel(s.slots[pos], prev, prevIdx, scIdx, demand, target, 0, 0, s.cfg.Solver.Stats)
+			lv, err := s.buildLevel(s.slots[pos], prev, prevIdx, scIdx, demand, target, 0, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -288,8 +277,8 @@ func (s *Solver) buildChain(order []int) ([]*level, error) {
 // Solve(k-1) warm each other, and each readout level shares warmth with
 // Solve(t)'s final level. shiftF/shiftLent install the readout
 // self-exclusion shift (see buildReadout); both are 0 for ordinary chain
-// levels. stats is the per-goroutine iteration sink (nil to skip).
-func (s *Solver) buildLevel(sl *levelSlot, prev *level, prevIdx, scIdx int, demand float64, warmTarget int, shiftF, shiftLent float64, stats *markov.SolveStats) (*level, error) {
+// levels.
+func (s *Solver) buildLevel(sl *levelSlot, prev *level, prevIdx, scIdx int, demand float64, warmTarget int, shiftF, shiftLent float64) (*level, error) {
 	cfg := &s.cfg
 	sc := cfg.Federation.SCs[scIdx]
 	share := cfg.Shares[scIdx]
@@ -311,12 +300,11 @@ func (s *Solver) buildLevel(sl *levelSlot, prev *level, prevIdx, scIdx int, dema
 	sl.lv.reset(sc, share, pool, poolDim(*cfg, s.overflow, scIdx, pool), qcap)
 	sl.inter.reset(prev, share, peers, cfg.Epsilon, cfg.Prune, s.truncEps, cfg.PruneStats)
 	sl.inter.preserveS = prev == nil && demand > 0
-	sl.inter.uncondition = cfg.Uncondition
+	sl.inter.uncondition = s.uncondition
 	if shiftF > 0 || shiftLent > 0 {
 		sl.inter.setSelfExclusion(shiftF, shiftLent)
 	}
 	solver := cfg.Solver
-	solver.Stats = stats
 	solver.Dst = sl.lv.steady
 	solver.Work = &sl.work
 	if start := cfg.Warm.lookup(s.k, warmTarget, scIdx, sl.lv.numStates()); start != nil {
@@ -327,15 +315,6 @@ func (s *Solver) buildLevel(sl *levelSlot, prev *level, prevIdx, scIdx int, dema
 	}
 	cfg.Warm.store(s.k, warmTarget, scIdx, sl.lv.numStates(), sl.lv.steady)
 	return &sl.lv, nil
-}
-
-// readoutSlot returns readout worker w's private arena, growing the pool on
-// first use.
-func (s *Solver) readoutSlot(w int) *levelSlot {
-	for len(s.rslots) <= w {
-		s.rslots = append(s.rslots, newLevelSlot())
-	}
-	return s.rslots[w]
 }
 
 // selfExclusionTol is the per-SC borrow-estimate movement (in VMs) below
@@ -359,9 +338,7 @@ const maxReadoutRounds = 2
 // ~K+... level solves per vector in place of the K*K (times passes) a
 // per-target loop pays; DESIGN.md §12 spells out what is and is not
 // identical to K per-target Solve calls. The K-1 readouts of each fixpoint
-// round are independent and, when Config.Workers > 1, are fanned across
-// that many goroutines with per-worker arenas; the index-ordered merge
-// keeps the result bit-identical to the serial schedule.
+// round run one after another in the solver's readout arena.
 func (s *Solver) SolveAll(opts ...SolveOption) ([]cloud.Metrics, error) {
 	o, err := s.applyOpts(opts)
 	if err != nil {
@@ -395,18 +372,8 @@ func (s *Solver) SolveAll(opts ...SolveOption) ([]cloud.Metrics, error) {
 	for t := 0; t < k-1; t++ {
 		borrow[t] = spine[t].metrics().BorrowRate
 	}
-	workers := s.workers
-	if workers > k-1 {
-		workers = k - 1
-	}
 	for round := 0; round < maxReadoutRounds; round++ {
-		var moved bool
-		var err error
-		if workers <= 1 {
-			moved, err = s.readoutRoundSerial(last, borrow, out)
-		} else {
-			moved, err = s.readoutRoundParallel(workers, last, borrow, out)
-		}
+		moved, err := s.readoutRound(last, borrow, out)
 		if err != nil {
 			return nil, err
 		}
@@ -417,14 +384,14 @@ func (s *Solver) SolveAll(opts ...SolveOption) ([]cloud.Metrics, error) {
 	return out, nil
 }
 
-// readoutRoundSerial runs one readout fixpoint round on the primary readout
-// arena.
-func (s *Solver) readoutRoundSerial(last *level, borrow []float64, out []cloud.Metrics) (bool, error) {
+// readoutRound runs one readout fixpoint round: every SC but the last gets
+// its readout level off the shared spine, under its current borrow
+// estimate.
+func (s *Solver) readoutRound(last *level, borrow []float64, out []cloud.Metrics) (bool, error) {
 	k := s.k
-	sl := s.readoutSlot(0)
 	moved := false
 	for t := 0; t < k-1; t++ {
-		lv, err := s.buildReadout(sl, last, k-1, t, borrow[t], s.cfg.Solver.Stats)
+		lv, err := s.buildReadout(last, k-1, t, borrow[t])
 		if err != nil {
 			return false, err
 		}
@@ -438,73 +405,22 @@ func (s *Solver) readoutRoundSerial(last *level, borrow []float64, out []cloud.M
 	return moved, nil
 }
 
-// readoutRoundParallel fans one fixpoint round's K-1 independent readouts
-// across the worker pool. Worker w handles the strided index set
-// {w, w+workers, ...} with its own arena and iteration-stats sink, writing
-// disjoint elements of borrow and out, so the round is race-free and its
-// merged result bit-identical to the serial schedule (readout t depends
-// only on the shared spine and borrow[t]).
-func (s *Solver) readoutRoundParallel(workers int, last *level, borrow []float64, out []cloud.Metrics) (bool, error) {
-	k := s.k
-	errs := make([]error, workers)
-	stats := make([]markov.SolveStats, workers)
-	movedW := make([]bool, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		sl := s.readoutSlot(w)
-		wg.Add(1)
-		go func(w int, sl *levelSlot) {
-			defer wg.Done()
-			var st *markov.SolveStats
-			if s.cfg.Solver.Stats != nil {
-				st = &stats[w]
-			}
-			for t := w; t < k-1; t += workers {
-				lv, err := s.buildReadout(sl, last, k-1, t, borrow[t], st)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				m := lv.metrics()
-				if math.Abs(m.BorrowRate-borrow[t]) > selfExclusionTol {
-					movedW[w] = true
-				}
-				borrow[t] = m.BorrowRate
-				out[t] = m
-			}
-		}(w, sl)
-	}
-	wg.Wait()
-	moved := false
-	for w := 0; w < workers; w++ {
-		if errs[w] != nil {
-			return false, errs[w]
-		}
-		moved = moved || movedW[w]
-		if s.cfg.Solver.Stats != nil {
-			s.cfg.Solver.Stats.Iterations += stats[w].Iterations
-			s.cfg.Solver.Stats.Solves += stats[w].Solves
-		}
-	}
-	return moved, nil
-}
-
 // buildReadout solves SC t's readout level off the shared spine into the
-// given arena slot: one final hierarchy level whose predecessor is the
+// readout arena: one final hierarchy level whose predecessor is the
 // spine's last level. The spine includes SC t among the last level's
 // predecessors, so its summary counts SC t's own borrowing as foreign pool
 // usage; the self-exclusion shift subtracts that usage in expectation,
 // split between the last SC's lent count (the borrowed VMs that belong to
 // SC lastIdx) and the foreign usage F (those that belong to the remaining
 // pool members).
-func (s *Solver) buildReadout(sl *levelSlot, last *level, lastIdx, t int, borrowEst float64, stats *markov.SolveStats) (*level, error) {
+func (s *Solver) buildReadout(last *level, lastIdx, t int, borrowEst float64) (*level, error) {
 	shiftF, shiftLent := 0.0, 0.0
 	if pool := cloud.PoolExcluding(s.cfg.Shares, t); pool > 0 && borrowEst > 0 {
 		wLast := float64(s.cfg.Shares[lastIdx]) / float64(pool)
 		shiftLent = borrowEst * wLast
 		shiftF = borrowEst * (1 - wLast)
 	}
-	return s.buildLevel(sl, last, lastIdx, t, 0, t, shiftF, shiftLent, stats)
+	return s.buildLevel(s.rslot, last, lastIdx, t, 0, t, shiftF, shiftLent)
 }
 
 // successorDemand estimates the rate at which the rest of the federation

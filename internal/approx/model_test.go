@@ -292,7 +292,12 @@ func TestConditioningAblationStaysInBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncond, err := solveOne(Config{Federation: fed, Shares: shares, Uncondition: true}, 1)
+	ablated, err := NewSolver(Config{Federation: fed, Shares: shares})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ablated.uncondition = true
+	uncond, err := ablated.Solve(1)
 	if err != nil {
 		t.Fatal(err)
 	}

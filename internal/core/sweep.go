@@ -19,8 +19,9 @@ type SweepOptions struct {
 	// its warm-start caches) — legal because performance metrics do not
 	// depend on prices. Results always merge in ratio order, so with a
 	// key-deterministic evaluator the output is bit-identical across
-	// Workers settings: the same determinism contract as Game.Workers, one
-	// level up. 0 means GOMAXPROCS; 1 forces the serial schedule.
+	// Workers settings: the same determinism contract as the game's Jacobi
+	// rounds, one level up. 0 means GOMAXPROCS; 1 forces the serial
+	// schedule.
 	Workers int
 	// WarmStart seeds each point's multi-start initials with the nearest
 	// lower-ratio point's converged equilibrium shares. Neighboring prices

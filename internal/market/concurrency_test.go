@@ -138,8 +138,9 @@ func TestWithParticipationConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRunMultiStartParallel checks that the parallel multi-start selects
-// the same outcome as running each start sequentially.
+// TestRunMultiStartParallel checks that the multi-start selector, whose
+// games fan their Jacobi rounds across GOMAXPROCS, picks the same outcome
+// as running each start by hand against a fresh cache.
 func TestRunMultiStartParallel(t *testing.T) {
 	fed := testFederation()
 	g := &Game{

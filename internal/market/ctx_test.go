@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -43,7 +44,6 @@ func TestRunContextCancelStopsWorkers(t *testing.T) {
 	var evals atomic.Int64
 	g := &Game{
 		Federation: fed,
-		Workers:    3,
 		MaxRounds:  1000,
 		Evaluator: EvaluatorFunc(func(shares []int, target int) (cloud.Metrics, error) {
 			if evals.Add(1) == 2 {
@@ -91,6 +91,38 @@ func TestRunMultiStartContextCancelIsHardError(t *testing.T) {
 	}
 	if errors.Is(err, ErrNoEquilibrium) {
 		t.Fatal("cancellation was misreported as a dead market")
+	}
+}
+
+// TestRunMultiStartContextCancelStopsLaterStarts: the starts run in order,
+// and once the context is canceled no later start runs. SC 2 is frozen, so
+// every evaluation carries its start's initial SC 2 share and tells the
+// starts apart; the first evaluation of start 0 cancels.
+func TestRunMultiStartContextCancelStopsLaterStarts(t *testing.T) {
+	fed := testFederation()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var mu sync.Mutex
+	seen := map[int]bool{}
+	g := &Game{
+		Federation: fed,
+		Evaluator: EvaluatorFunc(func(shares []int, target int) (cloud.Metrics, error) {
+			mu.Lock()
+			seen[shares[2]] = true
+			mu.Unlock()
+			cancel()
+			return cloud.Metrics{Utilization: 0.5}, nil
+		}),
+		skip: map[int]bool{2: true},
+	}
+	out, err := g.RunMultiStartContext(ctx, [][]int{{1, 1, 0}, {1, 1, 1}, {1, 1, 2}}, AlphaUtilitarian)
+	if out != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunMultiStartContext = (%v, %v); want nil outcome wrapping context.Canceled", out, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) != 1 || !seen[0] {
+		t.Fatalf("evaluations came from starts with SC 2 share %v; want start 0 only", seen)
 	}
 }
 

@@ -35,13 +35,6 @@ type Game struct {
 	MaxRounds int
 	// MaxShares caps each SC's strategy space; defaults to its VM count.
 	MaxShares []int
-	// Workers bounds the worker pool evaluating a round's best responses.
-	// Jacobi rounds respond to the previous round's decisions, so the K
-	// searches of a round are independent and fan out across min(Workers, K)
-	// goroutines; results merge in SC index order, which keeps the dynamics
-	// bit-identical to the serial schedule. 0 means GOMAXPROCS; 1 forces the
-	// serial path.
-	Workers int
 
 	// skip marks SCs that never best-respond (see RunWithFrozen).
 	skip map[int]bool
@@ -237,18 +230,15 @@ func (g *Game) respond(ctx context.Context, base []int, i, maxShare, distance in
 }
 
 // respondAll fills responses with every non-skipped SC's best response to
-// base, fanning the independent searches across the game's worker pool.
-// responses[i] is written only by the goroutine that owns index i, so the
-// merge order (and therefore the dynamics) is independent of scheduling.
+// base. Jacobi rounds respond to the previous round's decisions, so the K
+// searches are independent and fan out across min(GOMAXPROCS, K)
+// goroutines. responses[i] is written only by the goroutine that owns
+// index i, so the merge order (and therefore the dynamics) is independent
+// of scheduling: the result is bit-identical to the serial loop, which
+// runs when GOMAXPROCS is 1.
 func (g *Game) respondAll(ctx context.Context, base, maxShares []int, distance int, baseCosts, baseUtils []float64, responses []bestResponse) {
 	k := len(responses)
-	workers := g.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > k {
-		workers = k
-	}
+	workers := min(runtime.GOMAXPROCS(0), k)
 	if workers <= 1 {
 		for i := 0; i < k; i++ {
 			if g.skip[i] {
@@ -284,11 +274,11 @@ func (g *Game) respondAll(ctx context.Context, base, maxShares []int, distance i
 // paper uses the same device to select among multiple equilibria
 // (Sect. VII, "the feasibility of the Tatonnement process").
 //
-// The starts are independent, so they run concurrently across
-// GOMAXPROCS-bounded workers; the evaluators (Memoize, SimEvaluator,
-// WithParticipation) deduplicate shared solves across the runs. Selection
-// stays deterministic: results are compared in the order the initials were
-// given, regardless of which goroutine finishes first.
+// The starts run one after another, in the order given; each game still
+// fans its Jacobi rounds across GOMAXPROCS (see respondAll), and the
+// evaluators (Memoize, SimEvaluator, WithParticipation) deduplicate shared
+// solves across the runs. Selection is deterministic: results are compared
+// in the order the initials were given.
 //
 // When no start converges but at least one produced a terminal state, the
 // best of those non-converged outcomes is returned alongside
@@ -300,8 +290,8 @@ func (g *Game) RunMultiStart(initials [][]int, alpha float64) (*Outcome, error) 
 }
 
 // RunMultiStartContext is RunMultiStart under a context: every start's game
-// observes the same context (see RunContext), so one cancellation stops all
-// of them. A canceled multi-start returns a nil outcome and an error
+// observes the context (see RunContext), and once it is canceled no later
+// start runs. A canceled multi-start returns a nil outcome and an error
 // wrapping ctx.Err() — cancellation is a hard error, never a dead market.
 func (g *Game) RunMultiStartContext(ctx context.Context, initials [][]int, alpha float64) (*Outcome, error) {
 	if len(initials) == 0 {
@@ -309,18 +299,12 @@ func (g *Game) RunMultiStartContext(ctx context.Context, initials [][]int, alpha
 	}
 	outs := make([]*Outcome, len(initials))
 	errs := make([]error, len(initials))
-	var wg sync.WaitGroup
-	workers := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i, init := range initials {
-		wg.Add(1)
-		workers <- struct{}{}
-		go func(i int, init []int) {
-			defer wg.Done()
-			defer func() { <-workers }()
-			outs[i], errs[i] = g.RunContext(ctx, init)
-		}(i, init)
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("market: multi-start canceled before start %d: %w", i, err)
+		}
+		outs[i], errs[i] = g.RunContext(ctx, init)
 	}
-	wg.Wait()
 
 	var best, bestPartial *Outcome
 	bestW, bestPartialW := math.Inf(-1), math.Inf(-1)

@@ -2,6 +2,7 @@ package market
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -108,22 +109,20 @@ func TestShardedCachePerTargetStress(t *testing.T) {
 	}
 }
 
-// TestGameParallelMatchesSerial pins the tentpole's determinism claim: the
-// Jacobi rounds merge best responses in SC index order, so the parallel
-// path must reproduce the serial path's equilibrium bit for bit — shares,
-// rounds, and evaluation counts alike.
+// TestGameParallelMatchesSerial pins the determinism of the Jacobi worker
+// pool: the rounds merge best responses in SC index order, so a game under
+// GOMAXPROCS(8) must reproduce the serial respondAll path that
+// GOMAXPROCS(1) selects bit for bit — shares, rounds, and evaluation counts
+// alike. It changes a process-wide setting, so it must not run in parallel
+// with other tests.
 func TestGameParallelMatchesSerial(t *testing.T) {
 	fed := testFederation()
 	initials := [][]int{nil, {0, 0, 0}, {2, 2, 2}, {3, 1, 0}}
 
-	mkGame := func(workers int, ev Evaluator) *Game {
-		return &Game{
-			Federation: fed,
-			Evaluator:  ev,
-			Gamma:      0.5,
-			MaxRounds:  40,
-			Workers:    workers,
-		}
+	runAt := func(procs int, ev Evaluator, init []int) (*Outcome, error) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		g := &Game{Federation: fed, Evaluator: ev, Gamma: 0.5, MaxRounds: 40}
+		return g.Run(init)
 	}
 
 	for _, tc := range []struct {
@@ -135,8 +134,8 @@ func TestGameParallelMatchesSerial(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for ii, init := range initials {
-				serial, serr := mkGame(1, tc.mk()).Run(init)
-				parallel, perr := mkGame(8, tc.mk()).Run(init)
+				serial, serr := runAt(1, tc.mk(), init)
+				parallel, perr := runAt(8, tc.mk(), init)
 				if (serr == nil) != (perr == nil) {
 					t.Fatalf("init %d: serial err %v, parallel err %v", ii, serr, perr)
 				}
@@ -159,22 +158,5 @@ func TestGameParallelMatchesSerial(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestGameWorkersDefault checks that the default worker count (GOMAXPROCS)
-// still converges to the serial equilibrium on the toy federation.
-func TestGameWorkersDefault(t *testing.T) {
-	fed := testFederation()
-	serial, err := (&Game{Federation: fed, Evaluator: Memoize(newToyEvaluator(t, fed)), Gamma: 0.5, Workers: 1}).Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := (&Game{Federation: fed, Evaluator: Memoize(newToyEvaluator(t, fed)), Gamma: 0.5}).Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(serial.Shares) != fmt.Sprint(def.Shares) {
-		t.Fatalf("default workers shares %v != serial %v", def.Shares, serial.Shares)
 	}
 }

@@ -149,6 +149,7 @@ func (h HyperExp2) Sample(rng *rand.Rand) float64 {
 //   - SCV == 1: exponential;
 //   - SCV in (0, 1): mixed Erlang (the standard minimal-phase fit);
 //   - SCV > 1: balanced-means two-branch hyperexponential.
+//
 // fitBoundaryTol absorbs rounding error at the boundaries of the
 // two-moment fit: SCVs this close to 1 are treated as exponential, and
 // mixing probabilities this far below 0 are clamped to a pure Erlang.

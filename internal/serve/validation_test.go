@@ -86,6 +86,10 @@ func TestRequestValidation400s(t *testing.T) {
 		{"negative sweep ratio", "/v1/sweep", sweepRequest{federationSpec: testSpec(), Ratios: []float64{0.5, -2}}},
 		{"negative sweep deadline", "/v1/sweep", sweepRequest{federationSpec: testSpec(), Ratios: []float64{0.5}, DeadlineMs: -9}},
 		{"negative track price", "/v1/track", trackRequest{federationSpec: testSpec(), Prices: []float64{-0.5}}},
+		// A client still sending the retired approx.workers knob gets 400:
+		// it is not a spec field, and the decoder rejects unknown fields.
+		{"unknown approx.workers field", "/v1/advise", json.RawMessage(
+			`{"scs": [{"vms": 10, "arrivalRate": 5.8}, {"vms": 10, "arrivalRate": 8.4}], "model": "fluid", "price": 0.5, "approx": {"workers": 2}}`)},
 	}
 	for _, tc := range cases {
 		rec := postJSON(t, s, tc.path, tc.body)

@@ -276,13 +276,12 @@ awk -v gomaxprocs="$GOMAXPROCS" -v numcpu="$NUM_CPU" -v base_b="${BASE3_B:-0}" '
     name = $1
     sub(/-[0-9]+$/, "", name)
     split(name, parts, "/")
-    k = parts[2]; w = parts[3]
+    k = parts[2]
     if (!(k in kseen)) { ks[++nk] = k; kseen[k] = 1 }
-    if (!((k, w) in kwseen)) { kws[k] = kws[k] (kws[k] ? SUBSEP : "") w; kwseen[k, w] = 1 }
     for (i = 3; i <= NF; i++) {
         if ($i !~ /\/(op|sc)$/) continue
-        tbl[k, w, $i] = $(i - 1)
-        if (!((k, w, $i) in useen)) { units[k, w] = units[k, w] (units[k, w] ? SUBSEP : "") $i; useen[k, w, $i] = 1 }
+        tbl[k, $i] = $(i - 1)
+        if (!((k, $i) in useen)) { units[k] = units[k] (units[k] ? SUBSEP : "") $i; useen[k, $i] = 1 }
     }
 }
 /^BenchmarkSweepDriverSerial/ {
@@ -295,7 +294,7 @@ awk -v gomaxprocs="$GOMAXPROCS" -v numcpu="$NUM_CPU" -v base_b="${BASE3_B:-0}" '
 END {
     printf "{\n"
     printf "  \"suite\": \"BENCH_6\",\n"
-    printf "  \"benchmark\": \"large-K allocation diet: per-SC solve cost over K (reused Solver arenas, serial vs batched readouts) and Fig. 7a sweep bytes vs the committed BENCH_3 baseline\",\n"
+    printf "  \"benchmark\": \"large-K allocation diet: per-SC solve cost over K (reused Solver arenas) and Fig. 7a sweep bytes vs the committed BENCH_3 baseline\",\n"
     printf "  \"gomaxprocs\": %s,\n", gomaxprocs
     printf "  \"num_cpu\": %s,\n", numcpu
     printf "  \"benchtime\": \"1x\",\n"
@@ -304,29 +303,21 @@ END {
     for (i = 1; i <= nk; i++) {
         k = ks[i]
         printf "%s    \"%s\": {", sep, k
-        nw = split(kws[k], ws, SUBSEP)
+        nu = split(units[k], us, SUBSEP)
         sep2 = ""
-        for (j = 1; j <= nw; j++) {
-            w = ws[j]
-            printf "%s\"%s\": {", sep2, w
-            nu = split(units[k, w], us, SUBSEP)
-            sep3 = ""
-            for (u = 1; u <= nu; u++) {
-                printf "%s\"%s\": %s", sep3, us[u], tbl[k, w, us[u]]
-                sep3 = ", "
-            }
-            printf "}"
+        for (u = 1; u <= nu; u++) {
+            printf "%s\"%s\": %s", sep2, us[u], tbl[k, us[u]]
             sep2 = ", "
         }
         printf "}"
         sep = ",\n"
     }
     printf "\n  },\n"
-    # Per-SC cost growth from the smallest to the largest K at W=1: a ratio
-    # below K_max/K_min means the per-SC cost grew sublinearly in K.
+    # Per-SC cost growth from the smallest to the largest K: a ratio below
+    # K_max/K_min means the per-SC cost grew sublinearly in K.
     kmin = ks[1]; kmax = ks[nk]
-    if (((kmin, "W=1", "ns/sc") in tbl) && tbl[kmin, "W=1", "ns/sc"] + 0 != 0) {
-        ratio = tbl[kmax, "W=1", "ns/sc"] / tbl[kmin, "W=1", "ns/sc"]
+    if (((kmin, "ns/sc") in tbl) && tbl[kmin, "ns/sc"] + 0 != 0) {
+        ratio = tbl[kmax, "ns/sc"] / tbl[kmin, "ns/sc"]
         kmin_n = kmin; kmax_n = kmax
         sub(/^K=/, "", kmin_n); sub(/^K=/, "", kmax_n)
         printf "  \"ns_per_sc_ratio_largest_vs_smallest_k\": %.3f,\n", ratio

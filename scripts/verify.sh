@@ -22,6 +22,29 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> gofmt -l (non-testdata Go files)"
+unformatted=$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' -print0 | xargs -0 gofmt -l)
+if [[ -n "$unformatted" ]]; then
+    echo "verify: gofmt would reformat:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
+# perfbench is a module of its own, so ./... above skips it; a change to a
+# type it builds (market.Game, approx.Config, ...) would otherwise break the
+# benchmark unseen. Build it under perfbench/run.sh's environment.
+echo "==> perfbench: go vet . && go test ."
+(
+    build="$(pwd)/.bench_build"
+    mkdir -p "${build}/gocache" "${build}/gotmp" "${build}/home"
+    export GOCACHE="${build}/gocache" GOTMPDIR="${build}/gotmp" GOPATH="${build}/gopath" \
+        HOME="${build}/home" XDG_CONFIG_HOME="${build}/home" XDG_CACHE_HOME="${build}/home" \
+        GOTOOLCHAIN=local GOWORK=off GOFLAGS=-mod=readonly GOPROXY=off
+    cd perfbench
+    go vet .
+    go test .
+)
+
 # The race-instrumented approx suite outgrew go test's default 10m
 # per-package timeout; give the full gate headroom.
 echo "==> go test -race ${short} ./..."
