@@ -31,7 +31,9 @@
 //
 // Transient runs are cached per (conditioning group, log-bucketed event
 // duration), which keeps the interaction computation far below the cost of
-// the state-space explosion it replaces (Fig. 8a).
+// the state-space explosion it replaces (Fig. 8a). A level build visits
+// its states with q innermost, so each event type's last clamped vector
+// serves the next state's lookup in most cases.
 //
 // The package is driven through a reusable handle: NewSolver(cfg)
 // validates the configuration once and owns every arena a solve needs
@@ -43,7 +45,11 @@
 // handles — and WithOrder overrides the chain order. A Solver is
 // single-goroutine and starts none of its own: SolveAll solves its readout
 // levels one after another in one readout arena, and callers that want
-// concurrency pool handles (market.ApproxEvaluator). Summary
+// concurrency pool handles (market.ApproxEvaluator). The readouts all
+// condition on the spine's last level, so SolveAll steps each of that
+// level's transients once and shares the projected iterates among them;
+// each readout applies only its own self-exclusion shift and truncation
+// (DESIGN.md §12). Summary
 // distributions are adaptively truncated under Config.TruncEps
 // (mass-preserving, default 1e-9, accounted in Config.PruneStats); set
 // TruncEps negative to disable.

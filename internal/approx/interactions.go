@@ -94,11 +94,20 @@ type interactions struct {
 	// (in VMs); see setSelfExclusion.
 	shiftF, shiftLent float64
 
+	// shared, when set, supplies the projected transient iterates instead
+	// of stepping prev here. Only the Solver's readout slot sets it, and
+	// SolveAll aims the cache at the last spine level, every readout's
+	// prev, before the first readout. Left nil on chain levels; reset
+	// keeps it.
+	shared *transientCache
+
 	gamma       float64
 	kmax        int
 	steadyJoint []float64
 	groupJoints map[int][][]float64 // g -> J_0..J_kmax (summary joints)
 	cache       map[cacheKey][]allocEntry
+	// memo keeps each event type's last clamped vector (see alloc).
+	memo [numEvents]clampMemo
 
 	// Summary-space strides (see jointIndex).
 	strideC, strideD, strideL, dim int
@@ -112,7 +121,6 @@ type interactions struct {
 	accBuf       []float64    // disaggregation accumulator
 	entrySlab    []allocEntry // backing storage for cached vectors
 	entryScratch []allocEntry // buildVector assembly buffer
-	entryBuf     []allocEntry // alloc/clamp result buffer, valid until next alloc
 	lineBuf      []float64    // shiftAxisDown line scratch
 	scratch      []float64    // dense merge buffer reused by clamp
 	scratchDim   int
@@ -148,6 +156,9 @@ func (in *interactions) reset(prev *level, curShare int, peerShares []int, epsil
 		clear(in.groupJoints)
 		clear(in.cache)
 	}
+	for i := range in.memo {
+		in.memo[i].ok = false
+	}
 	in.gamma, in.kmax = 0, 0
 	in.steadyJoint = nil
 	in.strideC, in.strideD, in.strideL, in.dim = 0, 0, 0, 0
@@ -163,16 +174,31 @@ func (in *interactions) reset(prev *level, curShare int, peerShares []int, epsil
 }
 
 // nextJoint hands out a zeroed summary-joint buffer of the current
-// dimension from the pool, growing it on first use. Buffers stay checked
-// out until the next reset (they back groupJoints and steadyJoint).
+// dimension from the pool (see jointBuf).
 func (in *interactions) nextJoint() []float64 {
+	j := in.jointBuf()
+	for i := range j {
+		j[i] = 0
+	}
+	return j
+}
+
+// copyJoint hands out a pool buffer holding a copy of src.
+func (in *interactions) copyJoint(src []float64) []float64 {
+	j := in.jointBuf()
+	copy(j, src)
+	return j
+}
+
+// jointBuf hands out a summary-joint buffer of the current dimension, with
+// unspecified contents, from the pool, growing it on first use. Buffers
+// stay checked out until the next reset (they back groupJoints and
+// steadyJoint).
+func (in *interactions) jointBuf() []float64 {
 	var j []float64
 	if in.jointN < len(in.jointPool) {
 		j = growFloats(in.jointPool[in.jointN], in.dim)
 		in.jointPool[in.jointN] = j
-		for i := range j {
-			j[i] = 0
-		}
 	} else {
 		j = make([]float64, in.dim)
 		in.jointPool = append(in.jointPool, j)
@@ -203,28 +229,54 @@ func (in *interactions) persist(src []allocEntry) []allocEntry {
 
 var pointMass = []allocEntry{{p: 1}}
 
-// alloc returns the interaction vector for a state of the level under
-// construction: the current allocations (s, o, a), the mean inter-event
-// duration tau, and the state's legality clamps (aloc <= capAloc, arem <=
-// capArem). The conditioning group is s+a — the previous level's usage as
-// visible from a chain level — plus, on readout levels, the share of the
-// current o that the previous SC's own lent count carries (see
-// setSelfExclusion). Without predecessors the current allocations are
+// Event types of a level build, each with its own clamp memo.
+const (
+	evArrival = iota
+	evLocalDeparture
+	evRemoteDeparture
+	numEvents
+)
+
+// clampMemo is one event type's last alloc result and its key. The level
+// build visits states with q innermost, and consecutive q at fixed (s, o,
+// a) mostly share the conditioning group, the duration bucket and the
+// clamps, so a single entry serves the bulk of the calls.
+type clampMemo struct {
+	ok                          bool
+	g, bucket, capAloc, capArem int
+	out                         []allocEntry
+}
+
+// alloc returns the interaction vector of event type ev for a state of the
+// level under construction: the current allocations (s, a), the mean
+// inter-event duration tau, and the state's legality clamps (aloc <=
+// capAloc, arem <= capArem). The conditioning group is s+a — the previous
+// level's usage as visible from a chain level — plus, on readout levels,
+// the share of the current o that the previous SC's own lent count carries
+// (see setSelfExclusion). Without predecessors the current allocations are
 // preserved: they belong to the successor-demand process, which has its
 // own explicit transitions.
 //
-// The returned slice is the interactions' result buffer: it is valid until
-// the next alloc call and must be consumed before then.
-func (in *interactions) alloc(lv *level, s, o, a int, tau float64, capAloc, capArem int) []allocEntry {
+// The returned slice is ev's memo buffer: it is valid until the next alloc
+// call for the same event type and must be consumed before then.
+func (in *interactions) alloc(ev, s, a int, tau float64, capAloc, capArem int) []allocEntry {
+	m := &in.memo[ev]
 	if in.prev == nil {
 		if in.preserveS {
-			in.entryBuf = append(in.entryBuf[:0], allocEntry{aloc: min(s, capAloc), p: 1})
-			return in.entryBuf
+			m.out = append(m.out[:0], allocEntry{aloc: min(s, capAloc), p: 1})
+			return m.out
 		}
 		return pointMass
 	}
-	base := in.lookup(s+a, tau)
-	return in.clamp(base, capAloc, capArem)
+	capAloc, capArem = max(capAloc, 0), max(capArem, 0)
+	g := s + a
+	bucket := int(math.Round(math.Log(tau) / tauBucketWidth))
+	if m.ok && m.g == g && m.bucket == bucket && m.capAloc == capAloc && m.capArem == capArem {
+		return m.out
+	}
+	m.out = in.clamp(m.out[:0], in.lookup(g, bucket), capAloc, capArem)
+	m.ok, m.g, m.bucket, m.capAloc, m.capArem = true, g, bucket, capAloc, capArem
+	return m.out
 }
 
 // jointIndex addresses the summary cell of (foreign, lent, dead, cong).
@@ -233,15 +285,17 @@ func (in *interactions) jointIndex(f, lent, dead, cong int) int {
 }
 
 // summarize collapses a full distribution over the previous level's states
-// to the summary joint, applying the self-exclusion shifts when installed
-// and then the adaptive truncation: cells below the per-cell slice of the
-// truncEps budget are zeroed and the survivors rescaled, so the summary
-// keeps its total mass (event rates are preserved) while the downstream
-// mixing and disaggregation loops skip the dropped support. The discarded
-// mass is recorded in the counter.
+// to the summary joint: project, then finish.
 func (in *interactions) summarize(p []float64) []float64 {
+	return in.finish(in.project(p, in.nextJoint()))
+}
+
+// project adds the full distribution p over the previous level's states
+// into the zeroed summary joint out and returns out. It is linear in p and
+// independent of the readout shifts, which is what lets SolveAll share it
+// across readouts.
+func (in *interactions) project(p, out []float64) []float64 {
 	prev := in.prev
-	out := in.nextJoint()
 	for idx, w := range p {
 		if w == 0 {
 			continue
@@ -252,6 +306,16 @@ func (in *interactions) summarize(p []float64) []float64 {
 		}
 		out[in.jointIndex(prev.foreign[idx], prev.lent[idx], prev.dead[idx], c)] += w
 	}
+	return out
+}
+
+// finish turns a projection into a summary in place: it applies the
+// self-exclusion shifts when installed and then the adaptive truncation:
+// cells below the per-cell slice of the truncEps budget are zeroed and the
+// survivors rescaled, so the summary keeps its total mass (event rates are
+// preserved) while the downstream mixing and disaggregation loops skip the
+// dropped support. The discarded mass is recorded in the counter.
+func (in *interactions) finish(out []float64) []float64 {
 	if in.shiftLent > 0 {
 		in.shiftAxisDown(out, in.strideD, in.strideL/in.strideD, in.shiftLent)
 	}
@@ -351,46 +415,60 @@ func (in *interactions) shiftAxisDown(joint []float64, stride, extent int, shift
 // groupIterates returns (building if needed) the summary joints of the
 // uniformization iterates for conditioning group g. Once an iterate has
 // relaxed to the steady state the remaining slots alias the steady joint.
+// On readout levels the iterates' projections come from the shared cache
+// and only their finish runs here.
 func (in *interactions) groupIterates(g int) [][]float64 {
 	if js, ok := in.groupJoints[g]; ok {
 		return js
 	}
-	prev := in.prev
-	n := len(prev.steady)
-	in.iterA = growFloats(in.iterA, n)
-	in.iterB = growFloats(in.iterB, n)
-	v, next := in.iterA[:n], in.iterB[:n]
-	in.conditionalStartInto(v, g)
 	js := in.nextJS()
-	js[0] = in.summarize(v)
-	relaxed := false
-	for k := 1; k <= in.kmax; k++ {
-		if relaxed {
-			js[k] = in.steadyJoint
-			continue
+	start := in.startGroup(g)
+	var n int
+	if tc := in.shared; tc != nil {
+		projs := tc.iterates(in, start)
+		for k, p := range projs {
+			js[k] = in.finish(in.copyJoint(p))
 		}
-		if err := prev.uniform.Step(next, v); err != nil {
-			// Cannot happen for matching dimensions; degrade to steady.
-			js[k] = in.steadyJoint
-			relaxed = true
-			continue
-		}
-		v, next = next, v
-		if numeric.L1Diff(v, prev.steady) < steadyRelaxTol {
-			relaxed = true
-			js[k] = in.steadyJoint
-			continue
-		}
-		js[k] = in.summarize(v)
+		n = len(projs)
+	} else {
+		n = in.transient(start, func(k int, v []float64) { js[k] = in.summarize(v) })
+	}
+	for k := n; k <= in.kmax; k++ {
+		js[k] = in.steadyJoint
 	}
 	in.groupJoints[g] = js
 	return js
 }
 
+// transient runs the uniformization of the previous level from start (see
+// startGroup), handing emit every iterate v_0, v_1, ... until one relaxes
+// to the steady state or kmax is passed. It returns the number of iterates
+// emitted; the ones after them are the steady state.
+func (in *interactions) transient(start int, emit func(k int, v []float64)) int {
+	prev := in.prev
+	n := len(prev.steady)
+	in.iterA = growFloats(in.iterA, n)
+	in.iterB = growFloats(in.iterB, n)
+	v, next := in.iterA[:n], in.iterB[:n]
+	in.startInto(v, start)
+	emit(0, v)
+	for k := 1; k <= in.kmax; k++ {
+		if err := prev.uniform.Step(next, v); err != nil {
+			// Cannot happen for matching dimensions; degrade to steady.
+			return k
+		}
+		v, next = next, v
+		if numeric.L1Diff(v, prev.steady) < steadyRelaxTol {
+			return k
+		}
+		emit(k, v)
+	}
+	return in.kmax + 1
+}
+
 // lookup returns (building if needed) the interaction vector for the
 // conditioning group and duration bucket.
-func (in *interactions) lookup(g int, tau float64) []allocEntry {
-	bucket := int(math.Round(math.Log(tau) / tauBucketWidth))
+func (in *interactions) lookup(g, bucket int) []allocEntry {
 	key := cacheKey{group: g, bucket: bucket}
 	if v, ok := in.cache[key]; ok {
 		return v
@@ -497,80 +575,76 @@ func (in *interactions) buildVector(g int, tau float64) []allocEntry {
 	return in.persist(out)
 }
 
-// conditionalStartInto writes the transient start distribution for
-// conditioning group g into dst (dimensioned to the previous level's state
-// space): the previous level's steady state restricted to the states whose
-// total shared usage equals g (falling back to the nearest non-empty
-// total) and renormalized — the pi^X construction of the paper applied to
-// the observable aggregate. On SolveAll readout levels the expected
-// self-lending shiftLent is added back first — floored, because
-// conditioning feeds the lend dynamics back into the aggregate and rounding
-// the bias up overdrives that loop — since the caller's aggregate excludes
-// the readout SC's own borrowing while the groups do not. Under the
-// uncondition ablation dst is simply a copy of the steady state.
-func (in *interactions) conditionalStartInto(dst []float64, g int) {
-	prev := in.prev
+// steadyStart is the startGroup of a transient that starts from the
+// previous level's unconditioned steady state.
+const steadyStart = -1
+
+// startGroup picks the transient start for conditioning group g: the
+// previous level's steady state restricted to the states whose total
+// shared usage equals g (falling back to the nearest non-empty total) and
+// renormalized — the pi^X construction of the paper applied to the
+// observable aggregate. It returns the group picked, or steadyStart when
+// every group is empty or under the uncondition ablation. On SolveAll
+// readout levels the expected self-lending shiftLent is added back first —
+// floored, because conditioning feeds the lend dynamics back into the
+// aggregate and rounding the bias up overdrives that loop — since the
+// caller's aggregate excludes the readout SC's own borrowing while the
+// groups do not.
+func (in *interactions) startGroup(g int) int {
 	if in.uncondition {
+		return steadyStart
+	}
+	groups := in.prev.groups
+	g = min(max(g+int(in.shiftLent), 0), len(groups)-1)
+	if in.groupMass(g) > groupMassEps {
+		return g
+	}
+	for d := 1; d < len(groups); d++ {
+		if in.groupMass(g-d) > groupMassEps {
+			return g - d
+		}
+		if in.groupMass(g+d) > groupMassEps {
+			return g + d
+		}
+	}
+	return steadyStart
+}
+
+// groupMass is the previous level's steady-state mass on group g, 0 out of
+// range.
+func (in *interactions) groupMass(g int) float64 {
+	prev := in.prev
+	if g < 0 || g >= len(prev.groups) {
+		return 0
+	}
+	mass := 0.0
+	for _, idx := range prev.groups[g] {
+		mass += prev.steady[idx]
+	}
+	return mass
+}
+
+// startInto writes the transient start distribution picked by startGroup
+// into dst (dimensioned to the previous level's state space).
+func (in *interactions) startInto(dst []float64, start int) {
+	prev := in.prev
+	if start == steadyStart {
 		copy(dst, prev.steady)
 		return
 	}
-	in.groupRestrictionInto(dst, g+int(in.shiftLent))
-}
-
-// groupRestrictionInto is conditionalStartInto's core: restrict the
-// previous level's steady state to usage aggregate g, nearest-neighbor
-// fallback when the group is empty or out of range.
-func (in *interactions) groupRestrictionInto(dst []float64, g int) {
-	prev := in.prev
-	if g < 0 {
-		g = 0
+	mass := in.groupMass(start)
+	for i := range dst {
+		dst[i] = 0
 	}
-	if g >= len(prev.groups) {
-		g = len(prev.groups) - 1
+	for _, idx := range prev.groups[start] {
+		dst[idx] = prev.steady[idx] / mass
 	}
-	pick := func(gg int) bool {
-		if gg < 0 || gg >= len(prev.groups) {
-			return false
-		}
-		mass := 0.0
-		for _, idx := range prev.groups[gg] {
-			mass += prev.steady[idx]
-		}
-		if mass <= groupMassEps {
-			return false
-		}
-		for i := range dst {
-			dst[i] = 0
-		}
-		for _, idx := range prev.groups[gg] {
-			dst[idx] = prev.steady[idx] / mass
-		}
-		return true
-	}
-	if pick(g) {
-		return
-	}
-	for d := 1; d < len(prev.groups); d++ {
-		if pick(g - d) {
-			return
-		}
-		if pick(g + d) {
-			return
-		}
-	}
-	copy(dst, prev.steady)
 }
 
 // clamp projects an unclamped vector onto the legal region of the current
-// state, merging atoms that collide after clamping. The result lives in the
-// interactions' result buffer, valid until the next alloc call.
-func (in *interactions) clamp(base []allocEntry, capAloc, capArem int) []allocEntry {
-	if capAloc < 0 {
-		capAloc = 0
-	}
-	if capArem < 0 {
-		capArem = 0
-	}
+// state (non-negative caps), merging atoms that collide after clamping, and
+// appends the result to out.
+func (in *interactions) clamp(out, base []allocEntry, capAloc, capArem int) []allocEntry {
 	maxDead := in.prev.share
 	strideC := 2
 	strideD := strideC * (maxDead + 1)
@@ -593,7 +667,6 @@ func (in *interactions) clamp(base []allocEntry, capAloc, capArem int) []allocEn
 		}
 		buf[aloc*strideA+arem*strideD+e.dead*strideC+c] += e.p
 	}
-	out := in.entryBuf[:0]
 	for i, w := range buf {
 		if w == 0 {
 			continue
@@ -606,6 +679,5 @@ func (in *interactions) clamp(base []allocEntry, capAloc, capArem int) []allocEn
 			p:    w,
 		})
 	}
-	in.entryBuf = out
 	return out
 }

@@ -49,6 +49,11 @@ type level struct {
 	// forward is the per-state probability that an arrival at this SC is
 	// forwarded to the public cloud, accumulated during assembly.
 	forward []float64
+
+	// pnf tabulates pNoForward for the build: pnf[(q+o)*pnfStride + v-vMin]
+	// with vMin = VMs - share.
+	pnf       []float64
+	pnfStride int
 }
 
 // numStates returns the size of this level's state space.
@@ -111,10 +116,25 @@ func (lv *level) reset(sc cloud.SC, share, pool, poolDim, qcap int) {
 // pNoForward is the SLA admission probability for an arrival at this SC
 // when it commands V = N - s + o servers and has q + o requests in its
 // system (the excess q - (N - s) is exactly the q' of the paper's
-// performance-parameter formulas).
+// performance-parameter formulas). It reads the table tabulatePNoForward
+// filled.
 func (lv *level) pNoForward(q, s, o int) float64 {
-	v := lv.sc.VMs - s + o
-	return queueing.PNoForward(q+o, v, lv.sc.ServiceRate, lv.sc.SLA)
+	return lv.pnf[(q+o)*lv.pnfStride+lv.share-s+o]
+}
+
+// tabulatePNoForward fills the pNoForward table for every q+o <=
+// qmax+poolDim and every V in [VMs-share, VMs+poolDim], the range the
+// level's states and clamped allocations (s <= share) reach.
+func (lv *level) tabulatePNoForward() {
+	lv.pnfStride = lv.share + lv.poolDim + 1
+	lv.pnf = growFloats(lv.pnf, (lv.qmax+lv.poolDim+1)*lv.pnfStride)
+	vMin := lv.sc.VMs - lv.share
+	for n := 0; n <= lv.qmax+lv.poolDim; n++ {
+		row := lv.pnf[n*lv.pnfStride : (n+1)*lv.pnfStride]
+		for i := range row {
+			row[i] = queueing.PNoForward(n, vMin+i, lv.sc.ServiceRate, lv.sc.SLA)
+		}
+	}
 }
 
 // build assembles the generator of the slot's level from the predecessor
@@ -135,83 +155,91 @@ func (sl *levelSlot) build(demand float64, opts markov.SteadyStateOptions) error
 		lv.forward[i] = 0
 	}
 	lv.demandDriven = inter.prev == nil && demand > 0
+	lv.tabulatePNoForward()
+	sl.trans = growFloats(sl.trans, n)
+	clear(sl.trans)
 	lambda, mu := lv.sc.ArrivalRate, lv.sc.ServiceRate
-	trans := sl.trans
-	for idx := 0; idx < n; idx++ {
-		clear(trans)
-		add := func(dst int, rate float64) { trans[dst] += rate }
-		q, s, o, a := lv.decode(idx)
-		// Predecessor allocations can never exceed the VMs this SC's own
-		// in-service requests leave free.
-		capAloc := lv.share
-		if free := lv.sc.VMs - min(q, lv.sc.VMs-s); free < capAloc {
-			capAloc = free
-		}
-
-		// Successor-demand process (first level under feedback only).
-		if inter.prev == nil && demand > 0 {
-			if s < lv.share && q+s < lv.sc.VMs {
-				add(lv.index(q, s+1, lv.oaIdx[o][a]), demand)
+	// States are visited with q innermost, idx = q*nRest + rest, so
+	// consecutive states differ only in q and the alloc memos hit. The
+	// generator does not depend on the visiting order: each state's row has
+	// unique columns, and the builder orders entries by (row, column).
+	nRest := (lv.share + 1) * lv.nOA
+	for rest := 0; rest < nRest; rest++ {
+		s := rest / lv.nOA
+		oa := lv.oaList[rest%lv.nOA]
+		o, a := oa[0], oa[1]
+		for q := 0; q <= lv.qmax; q++ {
+			idx := q*nRest + rest
+			// Predecessor allocations can never exceed the VMs this SC's
+			// own in-service requests leave free.
+			capAloc := lv.share
+			if free := lv.sc.VMs - min(q, lv.sc.VMs-s); free < capAloc {
+				capAloc = free
 			}
-			if s > 0 {
-				add(lv.index(q, s-1, lv.oaIdx[o][a]), float64(s)*mu)
-			}
-		}
 
-		// Arrival event (C1-C3).
-		arr := inter.alloc(lv, s, o, a, 1/lambda, capAloc, lv.poolDim-o)
-		for _, e := range arr {
-			switch {
-			case q+e.aloc < lv.sc.VMs: // C1: local idle VM
-				add(lv.index(q+1, e.aloc, lv.oaIdx[o][e.arem]), lambda*e.p)
-			case o+e.arem < min(lv.pool-e.dead, lv.poolDim): // C2: borrow a shared VM
-				add(lv.index(q, e.aloc, lv.oaIdx[o+1][e.arem]), lambda*e.p)
-			default: // C3: queue with P^NF, else forward
-				pq := lv.pNoForward(q, e.aloc, o)
-				if q >= lv.qmax {
-					pq = 0 // truncated: treat as certain forwarding
+			// Successor-demand process (first level under feedback only).
+			if inter.prev == nil && demand > 0 {
+				if s < lv.share && q+s < lv.sc.VMs {
+					sl.add(lv.index(q, s+1, lv.oaIdx[o][a]), demand)
 				}
-				if pq > 0 {
-					add(lv.index(q+1, e.aloc, lv.oaIdx[o][e.arem]), lambda*e.p*pq)
+				if s > 0 {
+					sl.add(lv.index(q, s-1, lv.oaIdx[o][a]), float64(s)*mu)
 				}
-				lv.forward[idx] += e.p * (1 - pq)
 			}
-		}
 
-		// Local departure event (C4).
-		if l := min(q, lv.sc.VMs-s); l > 0 {
-			rate := float64(l) * mu
-			dep := inter.alloc(lv, s, o, a, 1/rate, capAloc, lv.poolDim-o)
-			for _, e := range dep {
+			// Arrival event (C1-C3).
+			arr := inter.alloc(evArrival, s, a, 1/lambda, capAloc, lv.poolDim-o)
+			for _, e := range arr {
 				switch {
-				case q-1+e.aloc >= lv.sc.VMs: // own queue absorbs the VM
-					add(lv.index(q-1, e.aloc, lv.oaIdx[o][e.arem]), rate*e.p)
-				case e.cong && e.aloc < capAloc: // lend to waiting predecessors
-					add(lv.index(q-1, e.aloc+1, lv.oaIdx[o][e.arem]), rate*e.p)
-				default:
-					add(lv.index(q-1, e.aloc, lv.oaIdx[o][e.arem]), rate*e.p)
+				case q+e.aloc < lv.sc.VMs: // C1: local idle VM
+					sl.add(lv.index(q+1, e.aloc, lv.oaIdx[o][e.arem]), lambda*e.p)
+				case o+e.arem < min(lv.pool-e.dead, lv.poolDim): // C2: borrow a shared VM
+					sl.add(lv.index(q, e.aloc, lv.oaIdx[o+1][e.arem]), lambda*e.p)
+				default: // C3: queue with P^NF, else forward
+					pq := lv.pNoForward(q, e.aloc, o)
+					if q >= lv.qmax {
+						pq = 0 // truncated: treat as certain forwarding
+					}
+					if pq > 0 {
+						sl.add(lv.index(q+1, e.aloc, lv.oaIdx[o][e.arem]), lambda*e.p*pq)
+					}
+					lv.forward[idx] += e.p * (1 - pq)
 				}
 			}
-		}
 
-		// Remote departure event (C5).
-		if o > 0 {
-			rate := float64(o) * mu
-			dep := inter.alloc(lv, s, o, a, 1/rate, capAloc, lv.poolDim-(o-1))
-			for _, e := range dep {
-				switch {
-				case e.cong && o-1+e.arem+1 <= lv.poolDim: // predecessors take it
-					add(lv.index(q, e.aloc, lv.oaIdx[o-1][e.arem+1]), rate*e.p)
-				case q+e.aloc > lv.sc.VMs: // own queue keeps the VM busy
-					add(lv.index(q-1, e.aloc, lv.oaIdx[o][e.arem]), rate*e.p)
-				default: // returned to its owner
-					add(lv.index(q, e.aloc, lv.oaIdx[o-1][e.arem]), rate*e.p)
+			// Local departure event (C4).
+			if l := min(q, lv.sc.VMs-s); l > 0 {
+				rate := float64(l) * mu
+				dep := inter.alloc(evLocalDeparture, s, a, 1/rate, capAloc, lv.poolDim-o)
+				for _, e := range dep {
+					switch {
+					case q-1+e.aloc >= lv.sc.VMs: // own queue absorbs the VM
+						sl.add(lv.index(q-1, e.aloc, lv.oaIdx[o][e.arem]), rate*e.p)
+					case e.cong && e.aloc < capAloc: // lend to waiting predecessors
+						sl.add(lv.index(q-1, e.aloc+1, lv.oaIdx[o][e.arem]), rate*e.p)
+					default:
+						sl.add(lv.index(q-1, e.aloc, lv.oaIdx[o][e.arem]), rate*e.p)
+					}
 				}
 			}
-		}
 
-		for dst, rate := range trans {
-			bl.Add(idx, dst, rate)
+			// Remote departure event (C5).
+			if o > 0 {
+				rate := float64(o) * mu
+				dep := inter.alloc(evRemoteDeparture, s, a, 1/rate, capAloc, lv.poolDim-(o-1))
+				for _, e := range dep {
+					switch {
+					case e.cong && o-1+e.arem+1 <= lv.poolDim: // predecessors take it
+						sl.add(lv.index(q, e.aloc, lv.oaIdx[o-1][e.arem+1]), rate*e.p)
+					case q+e.aloc > lv.sc.VMs: // own queue keeps the VM busy
+						sl.add(lv.index(q-1, e.aloc, lv.oaIdx[o][e.arem]), rate*e.p)
+					default: // returned to its owner
+						sl.add(lv.index(q, e.aloc, lv.oaIdx[o-1][e.arem]), rate*e.p)
+					}
+				}
+			}
+
+			sl.flush(idx)
 		}
 	}
 	chain, err := bl.Rebuild(lv.chain)

@@ -101,6 +101,9 @@ type Solver struct {
 	// SolveAll readout level is solved in.
 	slots []*levelSlot
 	rslot *levelSlot
+	// tcache shares the readout levels' transients within one SolveAll;
+	// rslot's interactions draw on it.
+	tcache transientCache
 
 	// Reused per-solve scratch.
 	levels   []*level
@@ -149,6 +152,7 @@ func NewSolver(cfg Config) (*Solver, error) {
 	for i := range s.slots {
 		s.slots[i] = newLevelSlot()
 	}
+	s.rslot.inter.shared = &s.tcache
 	return s, nil
 }
 
@@ -360,6 +364,7 @@ func (s *Solver) SolveAll(opts ...SolveOption) ([]cloud.Metrics, error) {
 		return nil, err
 	}
 	last := spine[k-1]
+	s.tcache.reset(last)
 	out := make([]cloud.Metrics, k)
 	out[k-1] = last.metrics()
 	// Initial self-usage estimates come from the spine itself: level t

@@ -78,6 +78,46 @@ func TestSolverReuseBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSolveAllReuseAcrossShares re-aims one handle v1 → v2 → v1: every
+// SolveAll must equal a fresh handle's bit for bit, so neither the shared
+// readout transients nor the clamp memos may outlive the call (or the level
+// build) they were computed for.
+func TestSolveAllReuseAcrossShares(t *testing.T) {
+	// The second pair drives a spine level from a pool of one VM down to an
+	// empty pool: the last state of the first build and the first state of
+	// the next share a clamp-memo key, so a memo kept across builds would
+	// serve a vector of the old predecessor.
+	for _, tc := range []struct{ v1, v2 []int }{
+		{[]int{2, 2, 2}, []int{3, 1, 2}},
+		{[]int{1, 0}, []int{0, 0}},
+	} {
+		fed, _ := fedK(len(tc.v1))
+		reused, err := NewSolver(Config{Federation: fed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step, shares := range [][]int{tc.v1, tc.v2, tc.v1} {
+			fresh, err := NewSolver(Config{Federation: fed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.SolveAll(WithShares(shares))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := reused.SolveAll(WithShares(shares))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("step %d shares %v SC %d: reused %+v vs fresh %+v", step, shares, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // TestWithSharesPerCall pins the evaluator-pool pattern: a solver built
 // without a share vector solves under per-call WithShares, never writes
 // through to the caller's slice, and refuses to solve with no vector set.

@@ -127,6 +127,11 @@ func (sp *Federation) Normalize() error {
 	if sp.Approx != nil && !finite(sp.Approx.TruncEps) {
 		return fmt.Errorf("bad approx.truncEps %v: want a finite budget (negative disables)", sp.Approx.TruncEps)
 	}
+	// A zero Approx builds the same configuration as an omitted one; nil
+	// it so both share a Key.
+	if sp.Approx != nil && *sp.Approx == (Approx{}) {
+		sp.Approx = nil
+	}
 	if sp.Model == "" {
 		sp.Model = "approx"
 	}

@@ -97,6 +97,14 @@ func TestKeyEqualAfterDefaults(t *testing.T) {
 	if a, b := mustKey(t, named), mustKey(t, unnamed); a != b {
 		t.Errorf("default SC names key\n%s\nwant\n%s", b, a)
 	}
+	// "approx": {} and an omitted approx build the same configuration.
+	omitted := baseSpec()
+	omitted.Approx = nil
+	empty := baseSpec()
+	empty.Approx = &Approx{}
+	if a, b := mustKey(t, omitted), mustKey(t, empty); a != b {
+		t.Errorf("zero approx key\n%s\nwant\n%s", b, a)
+	}
 
 	mutations := map[string]func(*Federation){
 		"SCs":         func(sp *Federation) { sp.SCs = sp.SCs[:1] },

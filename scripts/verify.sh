@@ -45,6 +45,16 @@ echo "==> perfbench: go vet . && go test ."
     go test .
 )
 
+# A short solveall-walk run checks the benchmark end to end: its own output
+# checks (finite metrics, repeat visits, two cold solves bit-identical) must
+# hold and no operation may fail.
+echo "==> perfbench smoke: solveall-walk, 5s"
+bench_last=$(bash perfbench/run.sh --workload solveall-walk --seed 1 --seconds 5 --trace 0 | tail -n 1)
+if ! grep -Eq '"correct": ?true' <<<"$bench_last" || ! grep -Eq '"failed": ?0[,}]' <<<"$bench_last"; then
+    echo "verify: perfbench solveall-walk smoke failed: $bench_last" >&2
+    exit 1
+fi
+
 # The race-instrumented approx suite outgrew go test's default 10m
 # per-package timeout; give the full gate headroom.
 echo "==> go test -race ${short} ./..."
