@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -110,6 +111,69 @@ func TestSnapshotAcrossRestart(t *testing.T) {
 	}
 	if metrics.Cache.Hits == 0 || metrics.Cache.Misses != 0 {
 		t.Fatalf("first post-restore advise was not fully cached: %+v", metrics.Cache)
+	}
+}
+
+// TestSnapshotV1BootsCold: a snapshot file in the retired version-1 format
+// (nested per-layer versions and approx warm-start vectors) is logged and
+// ignored, the server answers cold, and the drain replaces the file with a
+// version-2 snapshot.
+func TestSnapshotV1BootsCold(t *testing.T) {
+	snapshot := filepath.Join(t.TempDir(), "warm.json")
+	v1 := `{"version":1,"frameworks":[{"spec":{"scs":[{"name":"sc0","vms":6,"arrivalRate":3.5,"serviceRate":1,"sla":0.2,"publicPrice":1},` +
+		`{"name":"sc1","vms":6,"arrivalRate":4.2,"serviceRate":1,"sla":0.2,"publicPrice":1}],"model":"approx","maxShare":3},` +
+		`"state":{"version":1,"eval":{"version":1,"vectors":[{"key":"0,0,","metrics":[{"PublicRate":1},{"PublicRate":1}]}]},` +
+		`"warm":{"version":1,"entries":[{"k":2,"target":0,"sc":0,"states":2,"pi":[0.5,0.5]}]}}}]}` + "\n"
+	if err := os.WriteFile(snapshot, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	addr, out, done, cancel := bootServer(t, "-snapshot", snapshot)
+	t.Cleanup(cancel)
+	if !strings.Contains(out.String(), "ignoring snapshot") {
+		t.Fatalf("boot did not refuse the version-1 snapshot:\n%s", out.String())
+	}
+	body := `{"scs": [{"vms": 6, "arrivalRate": 3.5}, {"vms": 6, "arrivalRate": 4.2}],
+	          "maxShare": 3, "price": 0.5}`
+	resp, err := http.Post("http://"+addr+"/v1/advise", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold advise = %d", resp.StatusCode)
+	}
+	resp, err = http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metrics struct {
+		Cache struct {
+			Misses uint64 `json:"misses"`
+		} `json:"cache"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&metrics)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if metrics.Cache.Misses == 0 {
+		t.Fatal("advise after a refused snapshot ran no cold solves")
+	}
+	stopServer(t, out, done, cancel)
+
+	saved, err := os.ReadFile(snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(saved, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Version != 2 || strings.Contains(string(saved), `"warm"`) {
+		t.Fatalf("drain wrote a version-%d snapshot:\n%s", snap.Version, saved)
 	}
 }
 

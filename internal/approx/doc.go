@@ -50,7 +50,6 @@
 // level's transients once and shares the projected iterates among them;
 // each readout applies only its own self-exclusion shift and truncation
 // (DESIGN.md §12). Summary
-// distributions are adaptively truncated under Config.TruncEps
-// (mass-preserving, default 1e-9, accounted in Config.PruneStats); set
-// TruncEps negative to disable.
+// distributions are adaptively truncated under a fixed 1e-9 mass budget
+// (mass-preserving, accounted in Config.PruneStats).
 package approx

@@ -60,8 +60,11 @@ func goldenCases() []goldenCase {
 	cases = append(cases,
 		goldenCase{
 			name: "fedK3/notrunc",
-			cfg:  Config{Federation: fed3, Shares: shares3, TruncEps: -1},
-			run:  solveAllOnce,
+			cfg:  Config{Federation: fed3, Shares: shares3},
+			run: func(s *Solver) ([]cloud.Metrics, error) {
+				s.truncEps = 0
+				return s.SolveAll()
+			},
 		},
 		goldenCase{
 			name: "fedK3/uncondition",

@@ -26,19 +26,11 @@ type Config struct {
 	// Prune drops interaction atoms below this probability (default 1e-6);
 	// larger values trade accuracy for speed on big federations.
 	Prune float64
-	// TruncEps is the adaptive state-space truncation budget: the total
-	// probability mass each summarized joint distribution may shed, spread
-	// uniformly over its cells. Cells below TruncEps/dim are zeroed and the
-	// summary renormalized, so event rates are preserved while the transient
-	// mixing loops skip the dropped support. 0 selects the default (1e-9,
-	// three decades below the atom-level Prune — calibrated against the
-	// internal/diffcheck envelopes); negative disables truncation. The
-	// discarded mass is accounted in PruneStats.
-	TruncEps float64
-	// PruneStats optionally accumulates the mass discarded by TruncEps
-	// truncation so an over-aggressive epsilon is observable rather than
-	// silent (core.Diagnose warns on it; scserve surfaces it in /metrics).
-	// Safe to share across solvers and goroutines; nil disables accounting.
+	// PruneStats optionally accumulates the mass discarded by the adaptive
+	// summary truncation (see defaultTruncEps) so it is observable rather
+	// than silent (core.DiagnosePruning warns on it; scserve surfaces it in
+	// /metrics). Safe to share across solvers and goroutines; nil disables
+	// accounting.
 	PruneStats *PruneCounter
 	// PoolCap bounds the modeled shared-VM usage per level. 0 sizes it
 	// automatically from the federation's overflow demand (the declared
@@ -60,8 +52,14 @@ type Config struct {
 	Warm *WarmCache
 }
 
-// defaultTruncEps is the per-summary truncation budget used when
-// Config.TruncEps is zero; see the field's doc for the calibration.
+// defaultTruncEps is the adaptive state-space truncation budget: the total
+// probability mass each summarized joint distribution may shed, spread
+// uniformly over its cells. Cells below defaultTruncEps/dim are zeroed and
+// the summary renormalized, so event rates are preserved while the
+// transient mixing loops skip the dropped support. 1e-9 sits three decades
+// below the atom-level Prune default, calibrated against the
+// internal/diffcheck envelopes; the discarded mass is accounted in
+// Config.PruneStats.
 const defaultTruncEps = 1e-9
 
 // Model is the solved hierarchy for one target SC. It is a self-contained
@@ -85,9 +83,11 @@ type Model struct {
 // at a time. Pool handles per worker — market.ApproxEvaluator does exactly
 // that.
 type Solver struct {
-	cfg      Config
-	k        int
-	passes   int
+	cfg    Config
+	k      int
+	passes int
+	// truncEps is the summary truncation budget, defaultTruncEps; tests
+	// set it to 0 (off) or to a coarser budget.
 	truncEps float64
 	overflow []float64
 	// uncondition disables the pi^X conditioning of the interaction
@@ -133,18 +133,12 @@ func NewSolver(cfg Config) (*Solver, error) {
 	if passes <= 0 {
 		passes = 2
 	}
-	trunc := cfg.TruncEps
-	if trunc == 0 {
-		trunc = defaultTruncEps
-	} else if trunc < 0 {
-		trunc = 0
-	}
 	k := len(cfg.Federation.SCs)
 	s := &Solver{
 		cfg:      cfg,
 		k:        k,
 		passes:   passes,
-		truncEps: trunc,
+		truncEps: defaultTruncEps,
 		overflow: overflow,
 		slots:    make([]*levelSlot, k),
 		rslot:    newLevelSlot(),

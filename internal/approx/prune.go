@@ -3,7 +3,7 @@ package approx
 import "sync"
 
 // PruneCounter accumulates the probability mass discarded by the adaptive
-// summary truncation (Config.TruncEps) so the approximation error the diet
+// summary truncation (defaultTruncEps) so the approximation error the diet
 // introduces stays observable instead of silent. Share one counter across
 // any number of solvers via Config.PruneStats; it is safe for concurrent
 // use. The zero value is ready.
@@ -35,7 +35,8 @@ type PruneStats struct {
 	// summarized joints since the counter was created.
 	TotalMass float64
 	// MaxMass is the largest mass truncated from any single summary — the
-	// per-distribution worst case, directly comparable to TruncEps.
+	// per-distribution worst case, directly comparable to the
+	// truncation budget.
 	MaxMass float64
 	// Joints counts the summaries that lost any mass.
 	Joints uint64

@@ -214,12 +214,20 @@ func TestWarmSolveAllocBudget(t *testing.T) {
 // per-summary maximum must respect the configured budget.
 func TestTruncationAccounting(t *testing.T) {
 	fed, shares := fedK(3)
-	exactRef, err := solveVec(Config{Federation: fed, Shares: shares, TruncEps: -1})
+	solveTrunc := func(truncEps float64, counter *PruneCounter) ([]cloud.Metrics, error) {
+		s, err := NewSolver(Config{Federation: fed, Shares: shares, PruneStats: counter})
+		if err != nil {
+			return nil, err
+		}
+		s.truncEps = truncEps
+		return s.SolveAll()
+	}
+	exactRef, err := solveTrunc(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	counter := &PruneCounter{}
-	got, err := solveVec(Config{Federation: fed, Shares: shares, TruncEps: 1e-4, PruneStats: counter})
+	got, err := solveTrunc(1e-4, counter)
 	if err != nil {
 		t.Fatal(err)
 	}

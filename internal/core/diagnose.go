@@ -71,12 +71,10 @@ func Diagnose(pts []SweepPoint) []string {
 }
 
 // pruneMassWarn is the per-summary truncated-mass level above which
-// DiagnosePruning speaks up. The adaptive truncation budget
-// (approx.Config.TruncEps) defaults to 1e-9 — six orders of magnitude
-// below this line — so under the default configuration the warning is
-// unreachable; crossing it means a caller raised the budget far enough
-// that truncation is visibly reshaping summary distributions, not just
-// shedding numerical dust.
+// DiagnosePruning speaks up. The approximate model's adaptive truncation
+// budget is 1e-9 per summary — six orders of magnitude below this line —
+// so crossing it means truncation is visibly reshaping summary
+// distributions, not just shedding numerical dust.
 const pruneMassWarn = 1e-3
 
 // DiagnosePruning turns the framework's truncation account into a warning
@@ -92,8 +90,8 @@ func DiagnosePruning(s approx.PruneStats) []string {
 	return []string{fmt.Sprintf(
 		"adaptive truncation discarded up to %.2g probability mass from a "+
 			"single summary distribution (%.3g total over %d summaries since this "+
-			"framework started): the approx TruncEps budget is coarse enough to "+
-			"shape results — lower it, or set it negative to disable truncation",
+			"framework started): far above the approx model's truncation "+
+			"budget, so truncation is shaping results",
 		s.MaxMass, s.TotalMass, s.Joints)}
 }
 

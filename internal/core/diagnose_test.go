@@ -175,15 +175,15 @@ func TestDiagnosePruning(t *testing.T) {
 	if got := DiagnosePruning(approx.PruneStats{}); got != nil {
 		t.Errorf("zero account warned: %q", got)
 	}
-	// The default TruncEps budget truncates far below the warning line.
+	// The truncation budget truncates far below the warning line.
 	quiet := approx.PruneStats{TotalMass: 1e-7, MaxMass: 1e-8, Joints: 40}
 	if got := DiagnosePruning(quiet); got != nil {
 		t.Errorf("healthy account warned: %q", got)
 	}
 	loud := approx.PruneStats{TotalMass: 0.2, MaxMass: 5e-3, Joints: 12}
 	got := DiagnosePruning(loud)
-	if len(got) != 1 || !containsWarning(got, "truncation", "TruncEps") {
-		t.Errorf("coarse account produced %q, want one TruncEps warning", got)
+	if len(got) != 1 || !containsWarning(got, "truncation", "budget") {
+		t.Errorf("coarse account produced %q, want one truncation-budget warning", got)
 	}
 }
 

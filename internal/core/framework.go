@@ -64,14 +64,11 @@ type Config struct {
 type Framework struct {
 	cfg  Config
 	eval market.Evaluator
-	// warm is the framework-wide approx warm-start cache (shared by every
-	// sub-federation evaluator); kept on the struct so Snapshot can export
-	// it and Restore can seed it.
-	warm *approx.WarmCache
-	// prune is the framework-wide truncation account (shared the same way):
-	// every approx solve run on behalf of this framework records the mass
-	// its adaptive truncation discarded, so callers can ask whether the
-	// speed/accuracy diet visibly shaped the results.
+	// prune is the framework-wide truncation account (shared by every
+	// sub-federation evaluator): every approx solve run on behalf of this
+	// framework records the mass its adaptive truncation discarded, so
+	// callers can ask whether the speed/accuracy diet visibly shaped the
+	// results.
 	prune *approx.PruneCounter
 }
 
@@ -116,7 +113,6 @@ func New(cfg Config) (*Framework, error) {
 		// never accuracy.
 		opts.Approx.Warm = approx.NewWarmCache()
 	}
-	f.warm = opts.Approx.Warm
 	if opts.Approx.PruneStats == nil {
 		// One truncation account for the whole framework, for the same
 		// reason as the warm cache: sub-federation evaluators come and go,

@@ -1,29 +1,22 @@
 package market
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
 	"scshare/internal/cloud"
 )
 
-// CacheDumpVersion is the schema version of CacheDump. Import rejects any
-// other version: a stale snapshot must fail loudly rather than seed a live
-// cache with entries whose meaning drifted.
-const CacheDumpVersion = 1
-
 // CacheDump is the serializable image of a memoized evaluator's cache: the
-// solved performance metrics, keyed exactly as the live cache keys them.
-// Only successful solves are exported — errors are transient (cancellation,
-// a bad trial vector) and must not survive a restart. Entries split by
-// solve shape: Vectors holds whole-vector results (one []cloud.Metrics per
-// share vector, the shape every NewEvaluator model produces) and Targets
-// holds per-target results from non-AllEvaluator inners.
+// solved whole-vector metrics (one []cloud.Metrics per share vector),
+// keyed exactly as the live cache keys them. Only successful whole-vector
+// solves are exported — errors are transient (cancellation, a bad trial
+// vector) and must not survive a restart, and every NewEvaluator model is
+// an AllEvaluator, so a framework's cache holds no per-target lines. The
+// dump carries no version of its own: the spec snapshot envelope that
+// embeds it is the one versioned layer.
 type CacheDump struct {
-	Version int           `json:"version"`
 	Vectors []VectorEntry `json:"vectors,omitempty"`
-	Targets []TargetEntry `json:"targets,omitempty"`
 }
 
 // VectorEntry is one whole-vector cache line.
@@ -32,23 +25,16 @@ type VectorEntry struct {
 	Metrics []cloud.Metrics `json:"metrics"`
 }
 
-// TargetEntry is one per-target cache line.
-type TargetEntry struct {
-	Key     string        `json:"key"`
-	Metrics cloud.Metrics `json:"metrics"`
-}
-
 // CacheSnapshotter is implemented by the evaluators Memoize returns: the
-// warm-cache snapshot/restore path (core.Framework.Snapshot, scserve
-// -snapshot) exports a drained replica's cache and seeds a booting one.
+// snapshot/restore path (spec.Cache.WriteSnapshot, scserve -snapshot)
+// exports a drained replica's cache and seeds a booting one.
 type CacheSnapshotter interface {
 	ExportCache() CacheDump
 	// ImportCache merges a dump into the cache without overwriting live
-	// entries, returning how many entries were adopted. It fails on a
-	// version mismatch and silently skips malformed entries (non-finite
-	// metrics, empty keys) — a snapshot is an optimization, not a source
-	// of truth.
-	ImportCache(CacheDump) (int, error)
+	// entries, returning how many entries were adopted. It silently skips
+	// malformed entries (empty keys or vectors, non-finite metrics) — a
+	// snapshot is an optimization, not a source of truth.
+	ImportCache(CacheDump) int
 }
 
 // finiteMetrics reports whether every field of m is a finite number —
@@ -62,46 +48,28 @@ func finiteMetrics(m cloud.Metrics) bool {
 	return true
 }
 
-// ExportCache implements CacheSnapshotter. In-flight solves and error
-// entries are skipped; the output is sorted by key, so equal caches dump
-// byte-identical snapshots.
+// ExportCache implements CacheSnapshotter. In-flight solves, error entries
+// and per-target entries are skipped; the output is sorted by key, so
+// equal caches dump byte-identical snapshots.
 func (me *memoEvaluator) ExportCache() CacheDump {
-	d := CacheDump{Version: CacheDumpVersion}
+	var d CacheDump
 	for i := range me.shards {
 		s := &me.shards[i]
 		s.mu.Lock()
 		for key, e := range s.cache {
-			if e.err != nil {
-				continue
-			}
-			if e.all != nil {
+			if e.err == nil && e.all != nil {
 				d.Vectors = append(d.Vectors, VectorEntry{Key: key, Metrics: e.all})
-			} else {
-				d.Targets = append(d.Targets, TargetEntry{Key: key, Metrics: e.m})
 			}
 		}
 		s.mu.Unlock()
 	}
 	sort.Slice(d.Vectors, func(i, j int) bool { return d.Vectors[i].Key < d.Vectors[j].Key })
-	sort.Slice(d.Targets, func(i, j int) bool { return d.Targets[i].Key < d.Targets[j].Key })
 	return d
 }
 
 // ImportCache implements CacheSnapshotter.
-func (me *memoEvaluator) ImportCache(d CacheDump) (int, error) {
-	if d.Version != CacheDumpVersion {
-		return 0, fmt.Errorf("market: cache dump version %d, want %d", d.Version, CacheDumpVersion)
-	}
+func (me *memoEvaluator) ImportCache(d CacheDump) int {
 	adopted := 0
-	adopt := func(key string, e memoEntry) {
-		s := me.shardOf(key)
-		s.mu.Lock()
-		if _, ok := s.cache[key]; !ok {
-			s.cache[key] = e
-			adopted++
-		}
-		s.mu.Unlock()
-	}
 	for _, v := range d.Vectors {
 		if v.Key == "" || len(v.Metrics) == 0 {
 			continue
@@ -116,13 +84,13 @@ func (me *memoEvaluator) ImportCache(d CacheDump) (int, error) {
 		if !ok {
 			continue
 		}
-		adopt(v.Key, memoEntry{all: v.Metrics})
-	}
-	for _, t := range d.Targets {
-		if t.Key == "" || !finiteMetrics(t.Metrics) {
-			continue
+		s := me.shardOf(v.Key)
+		s.mu.Lock()
+		if _, exists := s.cache[v.Key]; !exists {
+			s.cache[v.Key] = memoEntry{all: v.Metrics}
+			adopted++
 		}
-		adopt(t.Key, memoEntry{m: t.Metrics})
+		s.mu.Unlock()
 	}
-	return adopted, nil
+	return adopted
 }

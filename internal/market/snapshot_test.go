@@ -8,27 +8,14 @@ import (
 	"scshare/internal/cloud"
 )
 
-// countingEvaluator is a per-target inner evaluator that counts real solves,
-// so the tests can tell cache answers from recomputation.
-type countingEvaluator struct {
-	solves int
-}
-
-func (c *countingEvaluator) Evaluate(shares []int, target int) (cloud.Metrics, error) {
-	c.solves++
-	return cloud.Metrics{
-		PublicRate:  float64(shares[target]),
-		Utilization: 0.5,
-	}, nil
-}
-
 // TestCacheDumpRoundTrip: export from a warmed cache, import into a cold
 // one, and the cold cache must answer the same keys without a single inner
 // solve.
 func TestCacheDumpRoundTrip(t *testing.T) {
-	warmInner := &countingEvaluator{}
+	vectors := [][]int{{1, 2}, {3, 4}, {0, 0}}
+	warmInner := &countingAllEvaluator{}
 	warm := Memoize(warmInner)
-	for _, shares := range [][]int{{1, 2}, {3, 4}, {0, 0}} {
+	for _, shares := range vectors {
 		for target := 0; target < 2; target++ {
 			if _, err := warm.Evaluate(shares, target); err != nil {
 				t.Fatal(err)
@@ -36,23 +23,16 @@ func TestCacheDumpRoundTrip(t *testing.T) {
 		}
 	}
 	dump := warm.(CacheSnapshotter).ExportCache()
-	if dump.Version != CacheDumpVersion {
-		t.Fatalf("dump version = %d", dump.Version)
-	}
-	if len(dump.Targets) != 6 || len(dump.Vectors) != 0 {
-		t.Fatalf("dump shape = %d targets, %d vectors", len(dump.Targets), len(dump.Vectors))
+	if len(dump.Vectors) != 3 {
+		t.Fatalf("dump holds %d vectors, want 3", len(dump.Vectors))
 	}
 
-	coldInner := &countingEvaluator{}
+	coldInner := &countingAllEvaluator{}
 	cold := Memoize(coldInner)
-	n, err := cold.(CacheSnapshotter).ImportCache(dump)
-	if err != nil {
-		t.Fatal(err)
+	if n := cold.(CacheSnapshotter).ImportCache(dump); n != 3 {
+		t.Fatalf("adopted %d entries, want 3", n)
 	}
-	if n != 6 {
-		t.Fatalf("adopted %d entries, want 6", n)
-	}
-	for _, shares := range [][]int{{1, 2}, {3, 4}, {0, 0}} {
+	for _, shares := range vectors {
 		for target := 0; target < 2; target++ {
 			got, err := cold.Evaluate(shares, target)
 			if err != nil {
@@ -64,8 +44,8 @@ func TestCacheDumpRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if coldInner.solves != 0 {
-		t.Fatalf("restored cache still ran %d inner solves", coldInner.solves)
+	if n := coldInner.solves.Load(); n != 0 {
+		t.Fatalf("restored cache still ran %d inner solves", n)
 	}
 	if st := cold.(CacheStatsReporter).Stats(); st.Hits != 6 || st.Misses != 0 {
 		t.Fatalf("restored cache stats = %+v", st)
@@ -78,48 +58,45 @@ func TestCacheDumpRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCacheDumpImportGuards: version mismatches fail, malformed entries are
-// skipped, and imports never overwrite live entries.
+// TestCacheDumpImportGuards: malformed entries are skipped, imports never
+// overwrite live entries, and per-target lines are never exported.
 func TestCacheDumpImportGuards(t *testing.T) {
-	ev := Memoize(&countingEvaluator{}).(CacheSnapshotter)
-	if _, err := ev.ImportCache(CacheDump{Version: CacheDumpVersion + 1}); err == nil {
-		t.Fatal("version mismatch imported")
-	}
-
-	n, err := ev.ImportCache(CacheDump{
-		Version: CacheDumpVersion,
-		Targets: []TargetEntry{
-			{Key: "", Metrics: cloud.Metrics{}},                          // empty key
-			{Key: "1,0", Metrics: cloud.Metrics{PublicRate: math.NaN()}}, // poisoned
-			{Key: "2,0", Metrics: cloud.Metrics{PublicRate: math.Inf(1)}},
-			{Key: "3,0", Metrics: cloud.Metrics{PublicRate: 7}}, // the one good entry
-		},
-		Vectors: []VectorEntry{
-			{Key: "4,", Metrics: nil}, // empty vector
-			{Key: "5,", Metrics: []cloud.Metrics{{Utilization: math.NaN()}}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := Memoize(&countingAllEvaluator{}).(CacheSnapshotter)
+	n := ev.ImportCache(CacheDump{Vectors: []VectorEntry{
+		{Key: "", Metrics: []cloud.Metrics{{}}},                          // empty key
+		{Key: "4,", Metrics: nil},                                        // empty vector
+		{Key: "5,", Metrics: []cloud.Metrics{{Utilization: math.NaN()}}}, // poisoned
+		{Key: "6,", Metrics: []cloud.Metrics{{PublicRate: math.Inf(1)}}},
+		{Key: "3,", Metrics: []cloud.Metrics{{PublicRate: 7}}}, // the one good entry
+	}})
 	if n != 1 {
 		t.Fatalf("adopted %d entries, want only the finite one", n)
 	}
 
 	// A live entry must survive an import that carries the same key.
-	live := Memoize(&countingEvaluator{})
+	live := Memoize(&countingAllEvaluator{})
 	if _, err := live.Evaluate([]int{9}, 0); err != nil {
 		t.Fatal(err)
 	}
-	key := live.(CacheSnapshotter).ExportCache().Targets[0].Key
-	n, err = live.(CacheSnapshotter).ImportCache(CacheDump{
-		Version: CacheDumpVersion,
-		Targets: []TargetEntry{{Key: key, Metrics: cloud.Metrics{PublicRate: -999}}},
+	key := live.(CacheSnapshotter).ExportCache().Vectors[0].Key
+	n = live.(CacheSnapshotter).ImportCache(CacheDump{
+		Vectors: []VectorEntry{{Key: key, Metrics: []cloud.Metrics{{PublicRate: -999}}}},
 	})
-	if err != nil || n != 0 {
-		t.Fatalf("import overwrote a live entry (adopted %d, err %v)", n, err)
+	if n != 0 {
+		t.Fatalf("import overwrote a live entry (adopted %d)", n)
 	}
-	if got, _ := live.Evaluate([]int{9}, 0); got.PublicRate != 9 {
+	if got, _ := live.Evaluate([]int{9}, 0); got.Utilization != 9 || got.PublicRate != 0 {
 		t.Fatalf("live entry clobbered: %+v", got)
+	}
+
+	// A per-target inner caches per-target lines; they stay out of the dump.
+	perTarget := Memoize(EvaluatorFunc(func(shares []int, target int) (cloud.Metrics, error) {
+		return cloud.Metrics{PublicRate: float64(shares[target])}, nil
+	}))
+	if _, err := perTarget.Evaluate([]int{1, 2}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if d := perTarget.(CacheSnapshotter).ExportCache(); len(d.Vectors) != 0 {
+		t.Fatalf("per-target cache exported %d vectors", len(d.Vectors))
 	}
 }

@@ -13,10 +13,10 @@ import (
 	"scshare/internal/market"
 )
 
-// benchSpec is the Fig. 7a sweep configuration the BENCH_2/BENCH_3
-// benchmarks use (utilizations 0.58/0.73/0.84 on 10 VMs, approximate model
-// with one pass, 1e-4 pruning and a 4-VM usage cap, shares capped at 4), as
-// a service request.
+// benchSpec is the Fig. 7a sweep configuration (utilizations
+// 0.58/0.73/0.84 on 10 VMs, approximate model with one pass, 1e-4 pruning
+// and a 4-VM usage cap, shares capped at 4) that perfbench's sweep-fig7a
+// workload also runs, as a service request.
 func benchSpec() federationSpec {
 	return federationSpec{
 		SCs: []scSpec{
@@ -35,8 +35,10 @@ var benchRatios = []float64{0.2, 0.4, 0.6, 0.8}
 // BenchmarkServedSweepFig7a times the Fig. 7a grid through the HTTP
 // service — a fresh server per iteration, so every run pays the cold
 // caches plus the request decoding, NDJSON encoding, and transport that
-// serving adds. BENCH_4.json divides this by the in-process time below to
-// record the serving overhead.
+// serving adds. Dividing it by the in-process time below gives the
+// serving overhead of a whole sweep (the historical BENCH_4.json ratio);
+// the standing per-request figure is perfbench's serve.overhead_p50_ms on
+// the advise-warm workload.
 func BenchmarkServedSweepFig7a(b *testing.B) {
 	body, err := json.Marshal(sweepRequest{
 		federationSpec: benchSpec(),

@@ -87,7 +87,7 @@ type cacheStatsReport struct {
 
 // pruningReport is the adaptive-truncation section of /metrics, aggregated
 // across the live frameworks: how much summary probability mass the approx
-// model's allocation diet (approx.Config.TruncEps) has discarded, the worst
+// model's adaptive summary truncation has discarded, the worst
 // single summary, and how many summaries lost any mass. All zero under the
 // non-approx models or with truncation disabled; a MaxSummaryMass anywhere
 // near the configured budget's warning line (core.DiagnosePruning) also

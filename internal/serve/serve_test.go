@@ -284,7 +284,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 	// The pruning account must be internally consistent: a nonzero discard
 	// implies truncated summaries and a nonzero worst case, and the default
-	// TruncEps budget can never discard whole units of probability mass.
+	// truncation budget can never discard whole units of probability mass.
 	p := snap.Pruning
 	if (p.TruncatedJoints == 0) != (p.TruncatedMass == 0) || p.MaxSummaryMass > p.TruncatedMass || p.TruncatedMass >= 1 {
 		t.Fatalf("pruning account inconsistent: %+v", p)

@@ -1,21 +1,11 @@
 package serve
 
-import (
-	"io"
+import "io"
 
-	"scshare/internal/spec"
-)
-
-// ServerSnapshotVersion is the schema version of the serve-level snapshot
-// envelope. The envelope itself lives in internal/spec (it is shared with
-// the fleet dispatcher and workers, which boot from the same format); the
-// per-layer cache dumps inside it carry their own versions
-// (core.SnapshotVersion and below), all checked independently on restore.
-const ServerSnapshotVersion = spec.SnapshotVersion
-
-// WriteSnapshot serializes every live framework's warm-cache state to w as
-// JSON. Solves may keep running concurrently — both cache layers export
-// under their own locks — so this is safe to call from a drain path while
+// WriteSnapshot serializes every live framework's evaluation cache to w as
+// JSON, in the spec.SnapshotVersion format the fleet dispatcher and
+// workers share. Solves may keep running concurrently — the cache exports
+// under its shard locks — so this is safe to call from a drain path while
 // streams finish.
 func (s *Server) WriteSnapshot(w io.Writer) error {
 	return s.cache.WriteSnapshot(w)
@@ -23,8 +13,8 @@ func (s *Server) WriteSnapshot(w io.Writer) error {
 
 // ReadSnapshot merges a snapshot written by WriteSnapshot into this server:
 // each entry's spec is re-normalized and materialized through the regular
-// framework cache (building frameworks as needed), then its cache state is
-// merged in. Individual entries that no longer normalize or restore are
+// framework cache (building frameworks as needed), then its evaluations
+// are merged in. Individual entries that no longer normalize or restore are
 // skipped — a snapshot is an optimization, not a source of truth; only a
 // malformed envelope or a version mismatch is an error. It returns the
 // number of cache entries adopted across all frameworks.

@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// warmSpec is a small approx-model federation: it exercises both snapshot
-// layers (the memoized evaluation cache and the approximate model's
-// warm-start priors), unlike the fluid testSpec which has no warm cache.
+// warmSpec is a small approx-model federation: its snapshot carries the
+// memoized evaluations of a real approximate-model game, unlike the fluid
+// testSpec's.
 func warmSpec() federationSpec {
 	return federationSpec{
 		SCs: []scSpec{
@@ -105,7 +105,7 @@ func TestSnapshotGuards(t *testing.T) {
 		t.Fatal("future snapshot version restored")
 	}
 	n, err := s.ReadSnapshot(strings.NewReader(
-		`{"version": 1, "frameworks": [{"spec": {"scs": []}, "state": {"version": 1}}]}`))
+		`{"version": 2, "frameworks": [{"spec": {"scs": []}, "eval": {}}]}`))
 	if err != nil {
 		t.Fatalf("snapshot with one bad entry failed outright: %v", err)
 	}

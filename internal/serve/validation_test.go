@@ -90,6 +90,10 @@ func TestRequestValidation400s(t *testing.T) {
 		// it is not a spec field, and the decoder rejects unknown fields.
 		{"unknown approx.workers field", "/v1/advise", json.RawMessage(
 			`{"scs": [{"vms": 10, "arrivalRate": 5.8}, {"vms": 10, "arrivalRate": 8.4}], "model": "fluid", "price": 0.5, "approx": {"workers": 2}}`)},
+		// Likewise the retired approx.truncEps knob: the truncation budget
+		// is fixed inside the approximate model.
+		{"unknown approx.truncEps field", "/v1/advise", json.RawMessage(
+			`{"scs": [{"vms": 10, "arrivalRate": 5.8}, {"vms": 10, "arrivalRate": 8.4}], "model": "fluid", "price": 0.5, "approx": {"truncEps": 1e-9}}`)},
 	}
 	for _, tc := range cases {
 		rec := postJSON(t, s, tc.path, tc.body)

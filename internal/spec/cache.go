@@ -117,64 +117,63 @@ func (c *Cache) PruneStats() approx.PruneStats {
 	return total
 }
 
-// SnapshotVersion is the schema version of the cache-level snapshot
-// envelope. The per-layer cache dumps inside it carry their own versions
-// (core.SnapshotVersion and below), all checked independently on restore.
-const SnapshotVersion = 1
+// SnapshotVersion is the schema version of the warm-cache snapshot, the
+// one versioned layer of the format: the evaluation-cache dumps inside it
+// carry none of their own. ReadSnapshot refuses any other version, so a
+// file written by an older build (version 1 also carried the approximate
+// model's warm-start vectors) fails loudly and the caller serves cold.
+const SnapshotVersion = 2
 
 // envelope is the on-disk warm state of a whole framework cache: one
 // entry per live framework, in FIFO order, each pairing the framework's
 // canonical spec (the cache key, which IS the normalized spec's JSON)
-// with its exported cache spine. Restoring replays the specs through the
-// normal framework constructor and merges each state in, so a restored
-// cache is indistinguishable from one that solved everything itself.
+// with its exported evaluation cache. Restoring replays the specs through
+// the normal framework constructor and merges each cache in, so a
+// restored cache is indistinguishable from one that solved everything
+// itself.
 type envelope struct {
 	Version    int     `json:"version"`
 	Frameworks []entry `json:"frameworks"`
 }
 
 // entry is one framework's snapshot: Spec is the canonical normalized
-// Federation JSON (exactly the cache key), State the warm caches exported
-// from it.
+// Federation JSON (exactly the cache key), Eval the memoized evaluations
+// exported from it.
 type entry struct {
-	Spec  json.RawMessage `json:"spec"`
-	State core.Snapshot   `json:"state"`
+	Spec json.RawMessage  `json:"spec"`
+	Eval market.CacheDump `json:"eval"`
 }
 
-// WriteSnapshot serializes every live framework's warm-cache state to w as
-// JSON. Solves may keep running concurrently — both cache layers export
-// under their own locks — so this is safe to call from a drain path while
-// streams finish, or from a dispatcher handler while workers solve.
+// WriteSnapshot serializes every live framework's evaluation cache to w as
+// JSON. Solves may keep running concurrently — the cache exports under its
+// shard locks — so this is safe to call from a drain path while streams
+// finish, or from a dispatcher handler while workers solve.
 func (c *Cache) WriteSnapshot(w io.Writer) error {
 	c.mu.Lock()
 	snap := envelope{Version: SnapshotVersion}
 	for _, key := range c.order {
-		fw, ok := c.frameworks[key]
-		if !ok {
-			continue
+		e := entry{Spec: json.RawMessage(key)}
+		if cs, ok := c.frameworks[key].Evaluator().(market.CacheSnapshotter); ok {
+			e.Eval = cs.ExportCache()
 		}
-		snap.Frameworks = append(snap.Frameworks, entry{
-			Spec:  json.RawMessage(key),
-			State: fw.Snapshot(),
-		})
+		snap.Frameworks = append(snap.Frameworks, e)
 	}
 	c.mu.Unlock()
-	enc := json.NewEncoder(w)
-	return enc.Encode(snap)
+	return json.NewEncoder(w).Encode(snap)
 }
 
 // ReadSnapshot merges a snapshot written by WriteSnapshot into this cache:
 // each entry's spec is re-normalized and materialized through the regular
-// framework cache (building frameworks as needed), then its cache state is
-// merged in. Individual entries that no longer normalize or restore —
-// e.g. written by a build with different validation rules — are skipped,
-// because a snapshot is an optimization, not a source of truth; only a
-// malformed envelope or a version mismatch is an error. It returns the
-// number of cache entries adopted across all frameworks.
+// framework cache (building frameworks as needed), then its evaluations
+// are merged in without overwriting live ones. Individual entries whose
+// spec no longer normalizes — e.g. written by a build with different
+// validation rules — are skipped, because a snapshot is an optimization,
+// not a source of truth; only a malformed envelope or a version mismatch
+// is an error. It returns the number of cache entries adopted across all
+// frameworks.
 func (c *Cache) ReadSnapshot(r io.Reader) (int, error) {
 	var snap envelope
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&snap); err != nil {
+	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return 0, fmt.Errorf("spec: decoding snapshot: %w", err)
 	}
 	if snap.Version != SnapshotVersion {
@@ -193,9 +192,9 @@ func (c *Cache) ReadSnapshot(r io.Reader) (int, error) {
 		if err != nil {
 			continue
 		}
-		n, err := fw.Restore(e.State)
-		adopted += n
-		_ = err // a partially restored framework still helps; keep going
+		if cs, ok := fw.Evaluator().(market.CacheSnapshotter); ok {
+			adopted += cs.ImportCache(e.Eval)
+		}
 	}
 	return adopted, nil
 }

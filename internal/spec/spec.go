@@ -7,8 +7,8 @@
 // (internal/fleet) speak this one spec dialect, so a request body accepted
 // by scserve can travel the fleet wire protocol verbatim and a worker's
 // framework cache keys match the front door's. The package also hosts the
-// spec-keyed framework Cache and the versioned warm-cache snapshot
-// envelope (DESIGN.md §14, §15) the two layers share.
+// spec-keyed framework Cache and the warm-cache snapshot format (one
+// version, SnapshotVersion; DESIGN.md §14, §15) the two layers share.
 package spec
 
 import (
@@ -35,14 +35,11 @@ type SC struct {
 	PublicPrice float64 `json:"publicPrice,omitempty"`
 }
 
-// Approx exposes the approximate model's cost/accuracy knobs. TruncEps
-// tunes the adaptive summary truncation (0 = the model's default budget,
-// negative disables it; see approx.Config.TruncEps).
+// Approx exposes the approximate model's cost/accuracy knobs.
 type Approx struct {
-	Passes   int     `json:"passes,omitempty"`
-	Prune    float64 `json:"prune,omitempty"`
-	PoolCap  int     `json:"poolCap,omitempty"`
-	TruncEps float64 `json:"truncEps,omitempty"`
+	Passes  int     `json:"passes,omitempty"`
+	Prune   float64 `json:"prune,omitempty"`
+	PoolCap int     `json:"poolCap,omitempty"`
 }
 
 // Federation is the price-independent part of a request: everything that
@@ -124,9 +121,6 @@ func (sp *Federation) Normalize() error {
 	if sp.Approx != nil && !finite(sp.Approx.Prune) {
 		return fmt.Errorf("bad approx.prune %v: want a finite threshold", sp.Approx.Prune)
 	}
-	if sp.Approx != nil && !finite(sp.Approx.TruncEps) {
-		return fmt.Errorf("bad approx.truncEps %v: want a finite budget (negative disables)", sp.Approx.TruncEps)
-	}
 	// A zero Approx builds the same configuration as an omitted one; nil
 	// it so both share a Key.
 	if sp.Approx != nil && *sp.Approx == (Approx{}) {
@@ -180,10 +174,9 @@ func (sp *Federation) Config() core.Config {
 	cfg.Model, _ = market.ParseKind(sp.Model)
 	if sp.Approx != nil {
 		cfg.Approx = approx.Config{
-			Passes:   sp.Approx.Passes,
-			Prune:    sp.Approx.Prune,
-			PoolCap:  sp.Approx.PoolCap,
-			TruncEps: sp.Approx.TruncEps,
+			Passes:  sp.Approx.Passes,
+			Prune:   sp.Approx.Prune,
+			PoolCap: sp.Approx.PoolCap,
 		}
 	}
 	if sp.MaxShare > 0 {

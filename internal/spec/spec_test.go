@@ -18,7 +18,7 @@ func baseSpec() Federation {
 		MaxShare:   4,
 		Tabu:       2,
 		MaxRounds:  60,
-		Approx:     &Approx{Passes: 1, Prune: 1e-4, PoolCap: 4, TruncEps: 1e-9},
+		Approx:     &Approx{Passes: 1, Prune: 1e-4, PoolCap: 4},
 		SimHorizon: 1000,
 		SimSeed:    7,
 	}
@@ -123,7 +123,6 @@ func TestKeyEqualAfterDefaults(t *testing.T) {
 		"Passes":      func(sp *Federation) { sp.Approx.Passes = 2 },
 		"Prune":       func(sp *Federation) { sp.Approx.Prune = 1e-5 },
 		"PoolCap":     func(sp *Federation) { sp.Approx.PoolCap = 5 },
-		"TruncEps":    func(sp *Federation) { sp.Approx.TruncEps = -1 },
 		"SimHorizon":  func(sp *Federation) { sp.SimHorizon = 2000 },
 		"SimSeed":     func(sp *Federation) { sp.SimSeed = 8 },
 	}

@@ -66,10 +66,14 @@ go run ./cmd/scvet ./...
 echo "==> scvet fixture self-test"
 go run ./cmd/scvet -fixtures
 
-# Warm-cache snapshot smoke: the serve-level round trip plus the real
-# drain/boot cycle through cmd/scserve -snapshot.
+# Warm-cache snapshot smoke: the format and the evaluation-cache dump, the
+# serve-level round trip, and the real drain/boot cycle through
+# cmd/scserve -snapshot; then 10s of fuzzing the snapshot reader, which
+# takes outside input (workers fetch snapshots over HTTP).
 echo "==> snapshot round-trip smoke"
-go test -count=1 -run 'Snapshot' ./internal/serve/ ./cmd/scserve/
+go test -count=1 -run 'Snapshot|CacheDump' ./internal/spec/ ./internal/market/ ./internal/serve/ ./cmd/scserve/
+echo "==> go test -fuzz FuzzReadSnapshot (10s)"
+go test ./internal/spec/ -run '^$' -fuzz '^FuzzReadSnapshot$' -fuzztime 10s
 
 # Fleet smoke: a dispatcher with in-process workers (including a worker
 # killed mid-grid whose lease requeues) must merge a sweep bit-identically
